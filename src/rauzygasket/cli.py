@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from fractions import Fraction
@@ -22,8 +21,6 @@ import numpy as np
 
 from . import __version__
 from .induction import (
-    CYC,
-    SWAP,
     AcceleratedStep,
     Hole,
     HoleAfter,
@@ -39,35 +36,22 @@ from .induction import (
     parse_fraction,
     rauzy_step,
 )
-from .graph import build_graph, verify_complete_implies_positive
+from .graph import build_graph
 from .markov import (
-    ChartPoint,
-    HoleCell,
-    accelerated_step_batch,
-    cell_of,
     chaos_game,
-    jacobian,
     rasterize,
-    sample_sorted_simplex,
     write_pgm,
     write_points_binary,
     write_points_csv,
 )
-from .measures import (
-    NAMED_LOOPS,
-    kerckhoff_exact_probability,
-    mc_balance,
-    mc_kerckhoff,
-    roof,
-    roof_tail,
-)
+from .measures import NAMED_LOOPS, roof_tail
 from .dimension import (
     BracketTooWide,
-    depth_totals,
     dimension_report,
     enumerate_cylinders,
     survivor_mass,
 )
+from .verify import SUITES, distortion_experiment
 
 log = logging.getLogger("rauzygasket")
 
@@ -214,6 +198,12 @@ def cmd_tail(args) -> int:
         payload = curve.to_json()
         payload["provenance"] = _provenance(args, seed=seed)
         _emit(payload)
+    if curve.samples < args.samples:
+        log.error(
+            "draw cap reached with %d of %d returns; the report covers what "
+            "was drawn", curve.samples, args.samples,
+        )
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -263,61 +253,10 @@ def cmd_points(args) -> int:
 
 # --- distortion --------------------------------------------------------------------
 
-def _pull_back(n: int, kind: str, ya: np.ndarray, yb: np.ndarray):
-    """Vectorized inverse branch: chart preimages of image points under
-    the (n, kind) cell."""
-    yc = 1.0 - ya - yb
-    if kind == SWAP:
-        v0 = n * ya + yb + n * yc
-        v1, v2 = ya, yc
-    else:
-        v0 = n * ya + n * yb + yc
-        v1, v2 = ya, yb
-    t = v0 + v1 + v2
-    return v0 / t, v1 / t
-
-
-def distortion_experiment(samples: int, seed: int, n_max: int = 100):
-    """Worst observed margin of the distortion bound over same-cell pairs,
-    stratified over every counter n <= n_max and both endings."""
-    rng = np.random.default_rng((seed, 7))
-    per = max(1, samples // (2 * n_max))
-    worst_ratio = 0.0
-    worst_cell = None
-    pairs = 0
-    for n in range(1, n_max + 1):
-        for kind in (SWAP, CYC):
-            ya, yb = sample_sorted_simplex(rng, 2 * per)
-            pa, pb = _pull_back(n, kind, ya, yb)
-            a2, b2, n_chk, kind_chk, d, alive = accelerated_step_batch(pa, pb)
-            ok = alive & (n_chk == n) & (kind_chk == (0 if kind == SWAP else 1))
-            j = 1.0 / d**3
-            j1, j2 = j[0::2], j[1::2]
-            x1, y1v = a2[0::2], b2[0::2]
-            x2, y2v = a2[1::2], b2[1::2]
-            good = ok[0::2] & ok[1::2]
-            dist = np.hypot(x1 - x2, y1v - y2v)
-            lhs = np.abs(j1 / j2 - 1.0)
-            nz = good & (dist > 0)
-            if nz.any():
-                ratios = lhs[nz] / dist[nz]
-                peak = float(ratios.max())
-                if peak > worst_ratio:
-                    worst_ratio = peak
-                    worst_cell = {"n": n, "kind": kind}
-            pairs += int(np.count_nonzero(good))
-    return {
-        "pairs": pairs,
-        "worst_distortion_ratio": worst_ratio,
-        "distortion_constant": 36.0,
-        "worst_cell": worst_cell,
-    }
-
-
 def cmd_distortion(args) -> int:
     seed = _seed_of(args)
     result = distortion_experiment(args.samples, seed)
-    ok = result["worst_distortion_ratio"] <= 36.0
+    ok = result["worst_distortion_ratio"] <= result["distortion_constant"]
     result["pass"] = ok
     result["provenance"] = _provenance(args, seed=seed)
     _emit(result)
@@ -326,158 +265,18 @@ def cmd_distortion(args) -> int:
 
 # --- verify -------------------------------------------------------------------------
 
-def _suite_lemma2(args, seed):
-    report = verify_complete_implies_positive(12)
-    return {
-        "name": "lemma2",
-        "paths_covered": report["paths_covered"],
-        "violations": len(report["violations"]),
-        "pass": report["ok"],
-    }
-
-
-def expansion_experiment(samples: int, seed: int, n_max: int = 100):
-    """Jacobian bounds (4/3)^3 < |DT| < (n+1)^3 on random non-hole points."""
-    rng = np.random.default_rng((seed, 11))
-    checked = 0
-    failures = 0
-    worst = math.inf
-    lower = (4.0 / 3.0) ** 3
-    while checked < samples:
-        a, b = sample_sorted_simplex(rng, 2 * samples)
-        _, _, n, _, d, alive = accelerated_step_batch(a, b)
-        keep = alive & (n <= n_max)
-        n = n[keep][: samples - checked]
-        d = d[keep][: samples - checked]
-        j = 1.0 / d**3
-        hi = (n + 1.0) ** 3
-        failures += int(np.count_nonzero((j <= lower) | (j >= hi)))
-        worst = min(worst, float((j - lower).min()), float((hi - j).min()))
-        checked += j.size
-    return {"checked": checked, "failures": failures, "worst_margin": worst}
-
-
-def _suite_lemma3(args, seed):
-    samples = args.samples or 10**5
-    exp = expansion_experiment(samples, seed)
-    dist = distortion_experiment(samples, seed)
-    return {
-        "name": "lemma3",
-        "expansion_checked": exp["checked"],
-        "expansion_failures": exp["failures"],
-        "worst_expansion_margin": exp["worst_margin"],
-        "distortion_pairs": dist["pairs"],
-        "worst_distortion_ratio": dist["worst_distortion_ratio"],
-        "pass": exp["failures"] == 0 and dist["worst_distortion_ratio"] <= 36.0,
-    }
-
-
-def _suite_kerckhoff(args, seed):
-    samples = args.samples or 10**6
-    checks = []
-    ok = True
-    for t in (2.0, 5.0, 10.0, 100.0):
-        freq = mc_kerckhoff(t, samples=samples, seed=seed, workers=args.workers)
-        bound = 1.0 / t
-        sigma = math.sqrt(bound * (1 - bound) / samples)
-        passed = freq <= bound + 3 * sigma
-        ok = ok and passed
-        checks.append({
-            "T": t,
-            "frequency": freq,
-            "bound": bound,
-            "exact": float(kerckhoff_exact_probability(t)),
-            "margin": bound + 3 * sigma - freq,
-            "pass": passed,
-        })
-    return {"name": "kerckhoff", "samples": samples, "checks": checks, "pass": ok}
-
-
-def _suite_roof_jacobian(args, seed):
-    rng = np.random.default_rng((seed, 13))
-    count = args.samples or 10**4
-    a, b = sample_sorted_simplex(rng, 4 * count)
-    keep = a > 0.5
-    a, b = a[keep][:count], b[keep][:count]
-    worst = 0.0
-    checked = 0
-    for x, y in zip(a, b):
-        p = ChartPoint(float(x), float(y))
-        cell = cell_of(p)
-        if isinstance(cell, HoleCell):
-            continue
-        r = roof(p, [(cell.n, cell.kind)])
-        j = jacobian(p)
-        rel = abs(math.exp(3.0 * r) - j) / j
-        worst = max(worst, rel)
-        checked += 1
-    return {
-        "name": "roof-jacobian",
-        "checked": checked,
-        "worst_relative_error": worst,
-        "pass": worst < 1e-9,
-    }
-
-
-def _suite_balance(args, seed):
-    samples = args.samples or 10**5
-    grid = [1.5, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0, 10000.0]
-    rows = mc_balance(grid, samples=samples, seed=seed, workers=args.workers)
-    witnesses = [r for r in rows if r["probability"] > 1.0 / r["C"]]
-    return {
-        "name": "balance",
-        "samples": samples,
-        "checks": rows,
-        "witness_C": witnesses[0]["C"] if witnesses else None,
-        "pass": bool(witnesses),
-    }
-
-
-def _suite_partition(args, seed):
-    checks = []
-    ok = True
-    for depth in (1, 2):
-        totals = depth_totals(depth, n_cap=32)
-        exact = totals["total"] == 1
-        ok = ok and exact
-        checks.append({
-            "depth": depth,
-            "sum": format_scalar(totals["total"]),
-            "pass": exact,
-        })
-    lo, hi = survivor_mass(1)
-    contains = lo <= Fraction(3, 4) <= hi
-    ok = ok and contains
-    checks.append({
-        "survivor_depth1": [format_scalar(lo), format_scalar(hi)],
-        "contains_3_4": contains,
-        "pass": contains,
-    })
-    return {"name": "partition", "checks": checks, "pass": ok}
-
-
-_SUITES = {
-    "lemma2": _suite_lemma2,
-    "lemma3": _suite_lemma3,
-    "kerckhoff": _suite_kerckhoff,
-    "roof-jacobian": _suite_roof_jacobian,
-    "partition": _suite_partition,
-    "balance": _suite_balance,
-}
-
-
 def cmd_verify(args) -> int:
     seed = _seed_of(args)
-    report = _SUITES[args.suite](args, seed)
+    report = SUITES[args.suite](args.samples, seed, args.workers)
     if args.format == "csv" and "checks" in report:
         keys = sorted({k for row in report["checks"] for k in row if k != "pass"})
         sys.stdout.write(f"# version={__version__} seed={seed} suite={args.suite}\n")
         sys.stdout.write(",".join(keys) + "\n")
         for row in report["checks"]:
             sys.stdout.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
-        return EXIT_OK if report["pass"] else EXIT_VIOLATION
-    report["provenance"] = _provenance(args, seed=seed)
-    _emit(report)
+    else:
+        report["provenance"] = _provenance(args, seed=seed)
+        _emit(report)
     return EXIT_OK if report["pass"] else EXIT_VIOLATION
 
 
@@ -560,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distortion)
 
     p = sub.add_parser("verify", help="named invariant suites")
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)

@@ -376,7 +376,7 @@ def box_counting(points: np.ndarray, grid_sizes: Sequence[float]) -> BoxCountFit
         width = int(math.ceil(1.0 / s)) + 2
         occ = len(np.unique(ij[:, 0] * width + ij[:, 1]))
         counts.append(occ)
-    if len(np.unique(pts, axis=0)) == 1:
+    if len(pts) and (pts == pts[0]).all():
         return BoxCountFit(dimension=0.0, residual=0.0, sizes=sizes, counts=counts)
     if counts[-1] < 2:
         raise DegenerateCloud("cloud spans fewer than 2 boxes at the coarsest size")

@@ -31,6 +31,7 @@ from .induction import (
     SWAP,
     STEP_MATRICES,
     Letter,
+    _mat_mul,
 )
 
 Perm3 = tuple[Letter, Letter, Letter]
@@ -177,13 +178,7 @@ class CocycleMatrix:
         return cls(rows)
 
     def __matmul__(self, other: "CocycleMatrix") -> "CocycleMatrix":
-        a, b = self.rows, other.rows
-        return CocycleMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                for i in range(3)
-            )
-        )
+        return CocycleMatrix(_mat_mul(self.rows, other.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CocycleMatrix) and self.rows == other.rows

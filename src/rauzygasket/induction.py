@@ -86,10 +86,6 @@ def _mat_mul(a, b):
     )
 
 
-def _mat_vec(m, v):
-    return tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
 @dataclass(frozen=True)
 class SpecialSystem:
     """Three exact lengths labeled by letters 1..3 plus the sorting order.
@@ -331,17 +327,6 @@ def classify_thin(s: SpecialSystem, max_iters: int):
             return TieAt(iteration=i)
         current = out.system
     return Survived(depth=max_iters)
-
-
-def iterate_path(s: SpecialSystem, max_iters: int):
-    """Yield (system, AcceleratedStep) pairs until hole/tie or max_iters."""
-    current = s
-    for _ in range(max_iters):
-        out = accelerated_step(current)
-        yield current, out
-        if not isinstance(out, AcceleratedStep):
-            return
-        current = out.system
 
 
 # --- interval-level view ---------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .induction import CYC, SWAP
+from .induction import CYC, SWAP, accelerated_matrix
 
 BOUNDARY_TOL = 1e-14
 POINTS_MAGIC = b"RGPTS001"
@@ -57,6 +57,16 @@ class ChartPoint:
             raise ValueError("point has no exact shadow")
         a, b = self.shadow
         return a, b, 1 - a - b
+
+    def coords(self) -> tuple:
+        """(a, b, c): exact when the point has a shadow, float otherwise."""
+        return self.exact() if self.shadow is not None else (self.a, self.b, self.c)
+
+    def like(self, a, b) -> "ChartPoint":
+        """The point (a, b), exact iff this one is."""
+        if self.shadow is None:
+            return ChartPoint(a, b)
+        return ChartPoint(float(a), float(b), shadow=(a, b))
 
     def validate(self) -> "ChartPoint":
         if self.shadow is not None:
@@ -104,6 +114,15 @@ def _counter(a, b, s) -> int:
     return n
 
 
+def _counter_batch(a, b, s):
+    """Vectorized ``_counter`` with the same off-by-one guards."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.maximum(np.floor((a - b) / s).astype(np.int64) + 1, 1)
+    n += a - n * s >= b
+    n -= (n > 1) & (a - (n - 1) * s < b)
+    return n
+
+
 def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
     """Markov cell of a chart point, or HoleCell.
 
@@ -144,19 +163,10 @@ def apply_T(p: ChartPoint, tol: float = BOUNDARY_TOL):
     if isinstance(cell, HoleCell):
         return cell
     n, kind = cell.n, cell.kind
-    shadow = None
-    if p.shadow is not None:
-        a, b, c = p.exact()
-        d = n * a - (n - 1)
-        rem = (n + 1) * a - n
-        shadow = (b / d, (rem if kind == SWAP else c) / d)
-        image = ChartPoint(a=float(shadow[0]), b=float(shadow[1]), shadow=shadow)
-    else:
-        a, b, c = p.a, p.b, p.c
-        d = n * a - (n - 1)
-        rem = (n + 1) * a - n
-        image = ChartPoint(a=b / d, b=(rem if kind == SWAP else c) / d)
-    return image.validate(), cell
+    a, b, c = p.coords()
+    d = n * a - (n - 1)
+    last = (n + 1) * a - n if kind == SWAP else c
+    return p.like(b / d, last / d).validate(), cell
 
 
 def jacobian(p: ChartPoint, tol: float = BOUNDARY_TOL) -> float:
@@ -181,28 +191,20 @@ def cell_vertices(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
     )
 
 
-def branch_matrix(cell: MarkovCell) -> tuple[tuple[int, int, int], ...]:
-    """Rank-coordinate length matrix of the branch (old = M . new)."""
-    if cell.kind == SWAP:
-        return ((cell.n, 1, cell.n), (1, 0, 0), (0, 0, 1))
-    return ((cell.n, cell.n, 1), (1, 0, 0), (0, 1, 0))
+def branch_preimage(n: int, kind: str, a, b, c):
+    """Chart coordinates of the preimage of (a, b, c) under the branch
+    (n, kind): the lengths accelerated_matrix(n, kind) . (a, b, c),
+    renormalized.  Works on exact scalars, floats and numpy arrays."""
+    v = [m0 * a + m1 * b + m2 * c for m0, m1, m2 in accelerated_matrix(n, kind)]
+    t = v[0] + v[1] + v[2]
+    return v[0] / t, v[1] / t
 
 
 def inverse_branch(cell: MarkovCell, p: ChartPoint) -> ChartPoint:
     """The inverse of the branch labeled by ``cell``, defined on the whole
     chart simplex: projective action of the branch matrix."""
     p.validate()
-    m = branch_matrix(cell)
-    if p.shadow is not None:
-        a, b, c = p.exact()
-        v = [sum(Fraction(m[i][k]) * (a, b, c)[k] for k in range(3)) for i in range(3)]
-        t = sum(v)
-        shadow = (v[0] / t, v[1] / t)
-        return ChartPoint(float(shadow[0]), float(shadow[1]), shadow=shadow).validate()
-    vec = (p.a, p.b, p.c)
-    v = [sum(m[i][k] * vec[k] for k in range(3)) for i in range(3)]
-    t = v[0] + v[1] + v[2]
-    return ChartPoint(v[0] / t, v[1] / t).validate()
+    return p.like(*branch_preimage(cell.n, cell.kind, *p.coords())).validate()
 
 
 # --- vectorized float dynamics (shared by the Monte Carlo modules) ----------
@@ -217,16 +219,7 @@ def accelerated_step_batch(a, b):
     b = np.asarray(b, dtype=float)
     s = 1.0 - a
     c = s - b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = np.floor((a - b) / s).astype(np.int64) + 1
-    n = np.maximum(n, 1)
-    # same off-by-one guards as the scalar path
-    r = a - n * s
-    bump = r >= b
-    n = n + bump
-    r = a - n * s
-    back = (n > 1) & (a - (n - 1) * s < b)
-    n = n - back
+    n = _counter_batch(a, b, s)
     rem = a - n * s
     alive = rem > 0
     kind = np.where(rem > c, 0, 1)

@@ -38,7 +38,14 @@ from .graph import (
     path_from_blocks,
 )
 from .induction import CYC, STAY, SWAP
-from .markov import ChartPoint, accelerated_step_batch, apply_T, sample_sorted_simplex
+from .markov import (
+    ChartPoint,
+    _counter,
+    _counter_batch,
+    accelerated_step_batch,
+    apply_T,
+    sample_sorted_simplex,
+)
 
 Q_ONES: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(1), Fraction(1))
 
@@ -150,10 +157,10 @@ def _blocks(samples: int):
     return list(enumerate(sizes))
 
 
-def _run_blocks(fn, samples: int, workers: int):
-    """Deterministic block decomposition: block i always uses the stream
-    seeded (seed, tag, i), so results are independent of worker count."""
-    blocks = _blocks(samples)
+def _run_blocks(fn, blocks, workers: int):
+    """Run ``fn(i, size)`` over the (index, size) blocks, in order.  Block
+    i always uses the stream seeded (seed, tag, i), so results are
+    independent of worker count."""
     if workers <= 1:
         return [fn(i, size) for i, size in blocks]
     from concurrent.futures import ThreadPoolExecutor
@@ -199,10 +206,7 @@ def mc_kerckhoff(
         rng = np.random.default_rng((seed, _TAG_KERCKHOFF, i))
         a, b = sample_sorted_simplex(rng, size)
         s = 1.0 - a
-        n = np.floor((a - b) / s).astype(np.int64) + 1
-        r = a - n * s
-        n += r >= b
-        n -= (n > 1) & (a - (n - 1) * s < b)
+        n = _counter_batch(a, b, s)
         rem = a - n * s
         wins = np.where(rem > 0, n, n - 1)
         # sorted draw: the winner letter carries weight qa[0]
@@ -210,7 +214,7 @@ def mc_kerckhoff(
         ratio = 1.0 + wins * qa[0] / loser
         return int(np.count_nonzero(ratio > t))
 
-    hits = _run_blocks(block, samples, workers)
+    hits = _run_blocks(block, _blocks(samples), workers)
     return sum(hits) / samples
 
 
@@ -272,7 +276,7 @@ def mc_balance(
         finished = ~np.isnan(done_max)
         return done_max[finished], done_min[finished], int(size - finished.sum())
 
-    parts = _run_blocks(block, samples, workers)
+    parts = _run_blocks(block, _blocks(samples), workers)
     mx = np.concatenate([p[0] for p in parts])
     mn = np.concatenate([p[1] for p in parts])
     unresolved = sum(p[2] for p in parts)
@@ -293,17 +297,15 @@ def mc_balance(
 
 # --- roof function -----------------------------------------------------------
 
-def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction:
-    """Exact l1 norm of the de-renormalized length vector along the given
-    accelerated blocks: the product of the per-block totals n a - (n-1).
+def _block_totals(a, b, c, blocks: Sequence[tuple[int, str]]):
+    """Yield the per-block totals n a - (n-1) along the accelerated
+    blocks from the sorted lengths (a, b, c), exact or float.
 
     Raises OutsideCylinder if the point does not follow the blocks.
     """
-    a, b, c = point.exact()
-    scale = Fraction(1)
     for n, kind in blocks:
         s = 1 - a
-        got_n = _exact_counter(a, b, s)
+        got_n = _counter(a, b, s)
         rem = a - got_n * s
         if rem <= 0 or got_n != n:
             raise OutsideCylinder(f"expected counter {n}, point has {got_n}")
@@ -311,18 +313,17 @@ def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction
         if got_kind != kind:
             raise OutsideCylinder(f"expected {kind} ending, point has {got_kind}")
         d = a - (n - 1) * s
-        scale *= d
+        yield d
         a, b, c = sorted((rem / d, b / d, c / d), reverse=True)
-    return scale
 
 
-def _exact_counter(a, b, s) -> int:
-    n = int((a - b) / s) + 1
-    while a - n * s >= b:
-        n += 1
-    while n > 1 and a - (n - 1) * s < b:
-        n -= 1
-    return n
+def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction:
+    """Exact l1 norm of the de-renormalized length vector along the given
+    accelerated blocks: the product of the per-block totals n a - (n-1).
+
+    Raises OutsideCylinder if the point does not follow the blocks.
+    """
+    return math.prod(_block_totals(*point.exact(), blocks), start=Fraction(1))
 
 
 def _as_blocks(path) -> list[tuple[int, str]]:
@@ -345,22 +346,7 @@ def roof(point, path) -> float:
         return 0.0
     if point.shadow is not None:
         return -math.log(roof_scale(point, blocks))
-    a, b = point.a, point.b
-    c = 1.0 - a - b
-    value = 0.0
-    for n, kind in blocks:
-        s = 1.0 - a
-        got_n = _exact_counter(a, b, s)
-        rem = a - got_n * s
-        if rem <= 0 or got_n != n:
-            raise OutsideCylinder(f"expected counter {n}, point has {got_n}")
-        got_kind = SWAP if rem > c else CYC
-        if got_kind != kind:
-            raise OutsideCylinder(f"expected {kind} ending, point has {got_kind}")
-        d = a - (n - 1) * s
-        value -= math.log(d)
-        a, b, c = sorted((rem / d, b / d, c / d), reverse=True)
-    return value
+    return -sum(map(math.log, _block_totals(*point.coords(), blocks)))
 
 
 # --- sections and first returns ------------------------------------------------
@@ -544,14 +530,18 @@ def return_roofs(
     workers: int = 1,
     max_draw_factor: int = 200,
 ) -> tuple[np.ndarray, int, int]:
-    """Roof values of at least ``samples`` first returns.
+    """Roof values of at least ``samples`` first returns, unless the cap
+    of ``samples * max_draw_factor`` drawn points (rounded up to whole
+    rounds of blocks) comes first.
 
     Section points are drawn Lebesgue-uniformly in fixed-size blocks
-    (block i seeded as (seed, tag, i)) until enough of them return;
-    almost every uniform point eventually falls into a hole, so the
-    returning fraction is well below 1 and is part of the measured
-    statistics.  Returns (roof values, points drawn, points lost to
-    holes or the depth cap).  Bit-identical for any worker count.
+    (block i seeded as (seed, tag, i)) until enough of them return or
+    the draw cap is reached; almost every uniform point eventually falls
+    into a hole, so the returning fraction is well below 1 and is part
+    of the measured statistics.  Returns (roof values, points drawn,
+    points lost to holes or the depth cap); fewer than ``samples`` roof
+    values means the draw cap stopped the run.  Bit-identical for any
+    worker count.
     """
     validate_loop(loop)
     tokens = _as_blocks(loop)
@@ -614,25 +604,15 @@ def return_roofs(
     i = 0
     max_blocks = max(1, (samples * max_draw_factor) // _BLOCK + 1)
     while got < samples and i < max_blocks:
-        batch = list(range(i, i + round_size))
-        parts = _run_blocks_indexed(block, batch, workers)
-        for vals, dead in parts:
+        batch = [(j, _BLOCK) for j in range(i, i + round_size)]
+        for vals, dead in _run_blocks(block, batch, workers):
             collected.append(vals)
             got += vals.size
             lost += dead
             drawn += _BLOCK
-        i = batch[-1] + 1
+        i += round_size
     roofs = np.concatenate(collected) if collected else np.empty(0)
     return roofs, drawn, lost
-
-
-def _run_blocks_indexed(fn, indices, workers: int):
-    if workers <= 1:
-        return [fn(i, _BLOCK) for i in indices]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: fn(i, _BLOCK), indices))
 
 
 def fit_tail(

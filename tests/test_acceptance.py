@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from rauzygasket.cli import distortion_experiment, expansion_experiment
 from rauzygasket.dimension import (
     ad_bound,
     box_counting,
@@ -39,6 +38,7 @@ from rauzygasket.measures import (
     return_roofs,
     roof,
 )
+from rauzygasket.verify import distortion_experiment, expansion_experiment
 
 from test_measures import chart_fraction
 

@@ -151,6 +151,15 @@ def test_tail_json_echoes_seed(capsys):
     assert doc["fitted_exponent"] > 0
 
 
+def test_tail_draw_cap_exits_budget(capsys):
+    code, out = run_cli(
+        capsys, "tail", "--loop", "cccss", "--samples", "2000", "--seed", "3"
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert 0 < doc["samples"] < 2000
+
+
 def test_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("RAUZY_SEED", "123")
     code, out = run_cli(capsys, "tail", "--samples", "1500")

@@ -208,6 +208,44 @@ def test_exact_and_float_agree_away_from_boundaries():
         assert abs(i1.a - i2.a) < 1e-12 and abs(i1.b - i2.b) < 1e-12
 
 
+def test_batch_step_matches_scalar_cells():
+    rng = np.random.default_rng(31)
+    a, b = sample_sorted_simplex(rng, 10**4)
+    # deep counters: s = 1 - a down to 1e-12
+    deep = 500
+    for scale in (1e-3, 1e-6, 1e-9, 1e-12):
+        lead = 1.0 - scale * rng.uniform(1.0, 2.0, deep)
+        a = np.concatenate([a, lead])
+        b = np.concatenate([b, (1.0 - lead) * rng.uniform(0.51, 0.99, deep)])
+    # counter boundaries: b within 4 ulps of a - (n-1) s, where the float
+    # floor of (a - b) / s often overshoots and the guard must correct it
+    edge = 2000
+    lead = 1.0 - np.exp(rng.uniform(np.log(1e-12), np.log(0.3), edge))
+    s = 1.0 - lead
+    n0 = np.floor(1.0 / s - 0.5)
+    ulps = rng.integers(-4, 5, edge) * 2.0**-52
+    near = (lead - (n0 - 1) * s) * (1.0 + ulps)
+    valid = (near > s - near) & (near < s)
+    a = np.concatenate([a, lead[valid]])
+    b = np.concatenate([b, near[valid]])
+    _, _, n, kind, _, alive = accelerated_step_batch(a, b)
+    compared = 0
+    for i in range(a.size):
+        try:
+            # a tolerance this small skips only exact boundary hits
+            cell = cell_of(ChartPoint(float(a[i]), float(b[i])), tol=1e-300)
+        except TieOnBoundary:
+            continue
+        if isinstance(cell, HoleCell):
+            assert not alive[i] and n[i] == cell.steps + 1
+        else:
+            assert alive[i] and n[i] == cell.n
+            assert kind[i] == (0 if cell.kind == "swap" else 1)
+        compared += 1
+    assert compared > 0.99 * a.size
+    assert n.max() > 10**11
+
+
 def test_chart_matches_interval_induction():
     rng = random.Random(29)
     for a, b in random_chart_fracs(rng, 10**4):

@@ -339,11 +339,11 @@ def test_roof_empty_path_is_zero():
 
 
 def test_roof_outside_cylinder():
-    p = ChartPoint.from_fractions(F(7, 10), F(9, 50))
-    with pytest.raises(OutsideCylinder):
-        roof(p, [(3, "cyc")])
-    with pytest.raises(OutsideCylinder):
-        roof(p, [(2, "swap")])
+    for p in (ChartPoint.from_fractions(F(7, 10), F(9, 50)), ChartPoint(0.7, 0.18)):
+        with pytest.raises(OutsideCylinder):
+            roof(p, [(3, "cyc")])
+        with pytest.raises(OutsideCylinder):
+            roof(p, [(2, "swap")])
 
 
 def test_roof_scale_matches_matrix_solve():

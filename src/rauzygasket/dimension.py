@@ -19,17 +19,20 @@ smaller than the one the per-block rate would give.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import START
+from .graph import START, apply_kind
 from .induction import CYC, STAY, SWAP
-from .measures import (
+from .measures import (  # noqa: F401  (reference forms kept importable from here)
     Q_ONES,
     block_child,
+    cone_denominator,
+    dual_update,
     elementary_children,
     hole_mass_at,
 )
@@ -48,28 +51,107 @@ class NonPositiveInput(Exception):
     pass
 
 
+# --- integer mass calculus ----------------------------------------------------
+#
+# The weights q stay integer along any path from integer start weights, so
+# the chart mass of a node with end state (q, order) is D0 / D, where
+# D = cone_denominator(q, order) and D0 is the same at the start state.
+# Every mass below is an integer pair (numerator, denominator); a Fraction
+# is built only where an exact total is reported.
+
+def _integer_weights(q: Sequence) -> tuple[int, int, int]:
+    """The weights scaled to integers.  Masses are ratios of cubic forms in
+    q, so a common scale leaves them unchanged."""
+    fr = [Fraction(x) for x in q]
+    scale = math.lcm(*(f.denominator for f in fr))
+    return tuple(int(f * scale) for f in fr)
+
+
+def _block_denominators(q: Sequence[int], order: Sequence[int], n: int):
+    """After n wins of the leader: the weights, and the mass denominators
+    of 'still leading', of the swap ending and of the cyc ending."""
+    qn = dual_update(q, order[0], n)
+    return (
+        qn,
+        cone_denominator(qn, order),
+        cone_denominator(qn, apply_kind(order, SWAP)),
+        cone_denominator(qn, apply_kind(order, CYC)),
+    )
+
+
+def _hole_fraction(d_before: int, d_after: int, d_swap: int, d_cyc: int) -> tuple[int, int]:
+    """1/d_before - 1/d_after - 1/d_swap - 1/d_cyc as an unreduced integer
+    pair: the mass, over the chart scale, of dying at one win."""
+    den = d_before * d_after * d_swap * d_cyc
+    num = d_after * d_swap * d_cyc - d_before * (d_swap * d_cyc + d_after * d_cyc + d_after * d_swap)
+    return num, den
+
+
+_DIGITS = 4000  # below the interpreter's default cap on int-to-str digits
+_PIECE = 10**_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n >= 0, converted in pieces short enough for str()."""
+    if n < _PIECE:
+        return str(n)
+    high, low = divmod(n, _PIECE)
+    return _decimal(high) + str(low).zfill(_DIGITS)
+
+
+def _ratio_text(x: Fraction) -> str:
+    """The text "p/q" of a nonnegative Fraction of any size."""
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def _exact_sum(terms) -> Fraction:
+    """Exact sum of (numerator, denominator) pairs over their common
+    multiple, with one reduction at the end."""
+    if not terms:
+        return Fraction(0)
+    common = math.lcm(*{den for _, den in terms})
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
+
+
+_FOLD_AT = 1 << 14
+
+
+def _add_term(terms: list, num: int, den: int) -> None:
+    """Append num / den to a list of terms, folding the list into one exact
+    term when it gets long, so a deep sweep keeps memory bounded."""
+    terms.append((num, den))
+    if len(terms) >= _FOLD_AT:
+        total = _exact_sum(terms)
+        terms[:] = [(total.numerator, total.denominator)]
+
+
 # --- accelerated cylinder enumeration ----------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cylinder:
     """One record of the accelerated symbolic enumeration.
 
     kind 'branch' is a genuine cylinder (survives, no hole edge); 'hole'
     is a dead cell; 'remainder' aggregates everything past the counter
     cap or below the measure floor at one node, kept exact so masses
-    always add to the parent.
+    always add to the parent.  The mass is ``num / den``, not reduced.
     """
 
     path: tuple[tuple[int, str], ...]
-    measure: Fraction
+    num: int
+    den: int
     survives: bool
     kind: str
     depth: int
 
+    @property
+    def measure(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
     def to_json(self) -> dict:
         return {
             "path": [[n, k] for n, k in self.path],
-            "measure": f"{self.measure.numerator}/{self.measure.denominator}",
+            "measure": _ratio_text(self.measure),
             "survives": self.survives,
             "kind": self.kind,
         }
@@ -93,62 +175,119 @@ def enumerate_cylinders(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     floor = Fraction(measure_floor)
+    fn, fd = floor.numerator, floor.denominator
+    q0 = _integer_weights(q)
+    d0 = cone_denominator(q0, start)
 
-    def walk(prefix, order, weights, mass, level):
-        remainder = mass
+    def walk(prefix, order, weights, level):
+        # the node's mass is d0 / d_before; each counter n splits the part
+        # still leading after n - 1 wins into swap, cyc, hole and still
+        # leading after n wins
+        d_before = cone_denominator(weights, order)
+        pruned = []
         for n in range(1, n_cap + 1):
-            for kind in (SWAP, CYC):
-                cond, qn, target = block_child(weights, order, n, kind)
-                child_mass = mass * cond
+            qn, d_after, d_swap, d_cyc = _block_denominators(weights, order, n)
+            for kind, den in ((SWAP, d_swap), (CYC, d_cyc)):
                 child_path = prefix + ((n, kind),)
-                if child_mass < floor and child_mass > 0:
-                    continue  # stays inside this node's remainder
-                remainder -= child_mass
-                if level + 1 == depth:
-                    yield Cylinder(
-                        path=child_path,
-                        measure=child_mass,
-                        survives=True,
-                        kind="branch",
-                        depth=level + 1,
-                    )
+                if d0 * fd < fn * den:
+                    pruned.append((d0, den))  # stays inside this node's remainder
+                elif level + 1 == depth:
+                    yield Cylinder(child_path, d0, den, True, "branch", level + 1)
                 else:
-                    yield from walk(child_path, target, qn, child_mass, level + 1)
-            hole = mass * hole_mass_at(weights, order, n)
-            if hole > 0 and hole >= floor:
-                remainder -= hole
-                yield Cylinder(
-                    path=prefix + ((n, "hole"),),
-                    measure=hole,
-                    survives=False,
-                    kind="hole",
-                    depth=level + 1,
-                )
-        if remainder > 0:
-            yield Cylinder(
-                path=prefix + ((n_cap, "remainder"),),
-                measure=remainder,
-                survives=False,
-                kind="remainder",
-                depth=level + 1,
-            )
+                    yield from walk(child_path, apply_kind(order, kind), qn, level + 1)
+            num, den = _hole_fraction(d_before, d_after, d_swap, d_cyc)
+            if num > 0 and num * d0 * fd >= fn * den:
+                yield Cylinder(prefix + ((n, "hole"),), num * d0, den, False, "hole", level + 1)
+            else:
+                pruned.append((num * d0, den))
+            d_before = d_after
+        # still leading at the cap, plus everything pruned on the way
+        rest = _exact_sum([(d0, d_before)] + pruned)
+        yield Cylinder(
+            prefix + ((n_cap, "remainder"),),
+            rest.numerator,
+            rest.denominator,
+            False,
+            "remainder",
+            level + 1,
+        )
 
-    yield from walk((), tuple(start), tuple(Fraction(x) for x in q), Fraction(1), 0)
+    yield from walk((), tuple(start), q0, 0)
 
 
 def depth_totals(depth: int, **kw) -> dict:
     """Exact mass accounting of one enumeration: by record kind."""
-    sums = {"branch": Fraction(0), "hole": Fraction(0), "remainder": Fraction(0)}
+    terms = {"branch": [], "hole": [], "remainder": []}
     for cyl in enumerate_cylinders(depth, **kw):
-        if cyl.kind == "branch" and cyl.depth == depth:
-            sums["branch"] += cyl.measure
-        elif cyl.kind in ("hole", "remainder"):
-            sums[cyl.kind] += cyl.measure
+        terms[cyl.kind].append((cyl.num, cyl.den))
+    sums = {kind: _exact_sum(t) for kind, t in terms.items()}
     sums["total"] = sums["branch"] + sums["hole"] + sums["remainder"]
     return sums
 
 
 # --- elementary survivor masses and delta -------------------------------------
+
+@dataclass
+class SurvivorSweep:
+    brackets: list[tuple[Fraction, Fraction]]  # [lower, upper] for depths 0..max
+    nodes: int  # elementary nodes visited
+
+
+def survivor_sweep(
+    max_depth: int,
+    measure_floor: Fraction = Fraction(0),
+    start=START,
+    q: Sequence = Q_ONES,
+    assume_no_holes: bool = False,
+) -> SurvivorSweep:
+    """Exact brackets [lower, upper] for the mass surviving d elementary
+    steps, for every d = 0..max_depth, from one depth-first sweep.
+
+    With floor 0 each bracket is a point.  A node below the floor is not
+    expanded: it is dead in the lower bound and alive in the upper of
+    every deeper bracket.  ``assume_no_holes`` is a sanity mode in which
+    every step survives, so all masses are 1 and the fitted decay rate
+    is 0.
+    """
+    if max_depth < 0:
+        raise ValueError("depth must be >= 0")
+    floor = Fraction(measure_floor)
+    fn, fd = floor.numerator, floor.denominator
+    q0 = _integer_weights(q)
+    d0 = cone_denominator(q0, start)
+    alive = [[] for _ in range(max_depth + 1)]
+    pruned = [[] for _ in range(max_depth + 1)]
+    nodes = 0
+
+    # a node's mass is k * d0 / d; k is 1 except under assume_no_holes
+    stack = [(tuple(start), q0, d0, 1, 0)]
+    while stack:
+        order, weights, d, k, level = stack.pop()
+        nodes += 1
+        num, den = k.numerator * d0, k.denominator * d
+        _add_term(alive[level], num, den)
+        if level == max_depth:
+            continue
+        if num * fd < fn * den:
+            _add_term(pruned[level], num, den)
+            continue
+        q1, d_stay, d_swap, d_cyc = _block_denominators(weights, order, 1)
+        for kind, dn in ((STAY, d_stay), (SWAP, d_swap), (CYC, d_cyc)):
+            stack.append((apply_kind(order, kind), q1, dn, k, level + 1))
+        if assume_no_holes:
+            hole_num, hole_den = _hole_fraction(d, d_stay, d_swap, d_cyc)
+            if hole_num > 0:
+                # sanity mode: put the hole mass back on the stay branch
+                stack.append((order, q1, d_stay, k * Fraction(hole_num * d_stay, hole_den), level + 1))
+
+    brackets = []
+    unresolved = Fraction(0)
+    for level in range(max_depth + 1):
+        lo = _exact_sum(alive[level])
+        brackets.append((lo, lo + unresolved))
+        unresolved += _exact_sum(pruned[level])
+    return SurvivorSweep(brackets=brackets, nodes=nodes)
+
 
 def survivor_mass(
     depth: int,
@@ -158,38 +297,8 @@ def survivor_mass(
     assume_no_holes: bool = False,
 ) -> tuple[Fraction, Fraction]:
     """Exact bracket [lower, upper] for the mass surviving ``depth``
-    elementary steps.
-
-    With floor 0 the bracket is a point.  Pruned subtrees (mass below the
-    floor) widen it: they are dead in the lower bound and alive in the
-    upper.  ``assume_no_holes`` is a sanity mode in which every step
-    survives, so all masses are 1 and the fitted decay rate is 0.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    floor = Fraction(measure_floor)
-    if depth == 0:
-        return Fraction(1), Fraction(1)
-    alive = Fraction(0)
-    unresolved = Fraction(0)
-
-    stack = [(tuple(start), tuple(Fraction(x) for x in q), Fraction(1), 0)]
-    while stack:
-        order, weights, mass, level = stack.pop()
-        if level == depth:
-            alive += mass
-            continue
-        if mass < floor:
-            unresolved += mass
-            continue
-        children, hole = elementary_children(weights, order)
-        for kind, (cond, qn, target) in children.items():
-            stack.append((target, qn, mass * cond, level + 1))
-        if assume_no_holes and hole > 0:
-            # sanity mode: put the hole mass back on the stay branch
-            cond, qn, target = children[STAY]
-            stack.append((target, qn, mass * hole, level + 1))
-    return alive, alive + unresolved
+    elementary steps: the deepest bracket of ``survivor_sweep``."""
+    return survivor_sweep(depth, measure_floor, start, q, assume_no_holes).brackets[depth]
 
 
 @dataclass
@@ -199,6 +308,7 @@ class DecayFit:
     depths: list[int]
     values: list[float]  # -log mass (midpoint of brackets)
     widths: list[float]  # relative bracket widths
+    nodes: int  # elementary nodes the survivor sweep visited
 
     def to_json(self) -> dict:
         return {
@@ -222,11 +332,12 @@ def delta_estimate(
     midpoint."""
     if max_depth < 3:
         raise ValueError("max_depth must be >= 3")
+    sweep = survivor_sweep(max_depth, measure_floor, assume_no_holes=assume_no_holes)
     depths = list(range(2, max_depth + 1))
     values = []
     widths = []
     for d in depths:
-        lo, hi = survivor_mass(d, measure_floor, assume_no_holes=assume_no_holes)
+        lo, hi = sweep.brackets[d]
         mid = (lo + hi) / 2
         width = float((hi - lo) / mid) if mid > 0 else math.inf
         widths.append(width)
@@ -246,6 +357,7 @@ def delta_estimate(
         depths=depths,
         values=[float(v) for v in values],
         widths=widths,
+        nodes=sweep.nodes,
     )
 
 
@@ -260,6 +372,7 @@ class FastDecayFit:
     depth: int
     enumerated: int
     remainder: float
+    remainder_exact: Fraction
 
     def to_json(self) -> dict:
         return {
@@ -291,17 +404,19 @@ def fast_decay_estimate(
     of the total so the saturation plateau stays out of the fit.
     """
     masses = []
-    remainder = Fraction(0)
+    remainders = []
     for cyl in enumerate_cylinders(depth, measure_floor=measure_floor, n_cap=n_cap):
-        if cyl.kind == "branch" and cyl.depth == depth:
-            masses.append(cyl.measure)
+        if cyl.kind == "branch":
+            # int / int is correctly rounded, so this is float(cyl.measure)
+            masses.append(cyl.num / cyl.den)
         elif cyl.kind == "remainder":
-            remainder += cyl.measure
+            remainders.append((cyl.num, cyl.den))
     if not masses:
         raise ValueError("no cylinders enumerated; raise the budgets")
     masses.sort()
-    values = np.asarray([float(m) for m in masses])
+    values = np.asarray(masses)
     cum = np.cumsum(values)
+    remainder = _exact_sum(remainders)
     rem = float(remainder)
 
     def s_of(e: float) -> float:
@@ -332,6 +447,7 @@ def fast_decay_estimate(
         depth=depth,
         enumerated=len(masses),
         remainder=rem,
+        remainder_exact=remainder,
     )
 
 
@@ -353,29 +469,69 @@ class BoxCountFit:
         }
 
 
+_MAX_LEVEL = 31  # finest grid 2**-31; two 32-bit box indices fill a 64-bit Morton code
+
+
+def _dyadic_level(size: float) -> int:
+    """k with size == 2**-k exactly, k in 0.._MAX_LEVEL."""
+    mantissa, exponent = math.frexp(size)
+    k = 1 - exponent
+    if mantissa != 0.5 or not 0 <= k <= _MAX_LEVEL:
+        raise ValueError(f"grid size {size!r} is not 2**-k for an integer k in 0..{_MAX_LEVEL}")
+    return k
+
+
+def _spread_bits(x: np.ndarray) -> np.ndarray:
+    """Move bit i of each 32-bit value to bit 2i."""
+    x = x.astype(np.uint64)
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        x = (x | (x << shift)) & mask
+    return x
+
+
+def _box_counts(pts: np.ndarray, levels: Sequence[int]) -> list[int]:
+    """Occupied boxes of the 2**-k grid for each k in ``levels``.
+
+    Box indices are taken once, at the finest grid, and interleaved into
+    Morton codes, so a box of a coarser grid k is a run of codes sharing
+    the top bits: one sort, then the distinct prefixes at each level."""
+    finest = max(levels)
+    if len(pts) == 0:
+        return [0 for _ in levels]
+    codes = np.zeros(len(pts), dtype=np.uint64)
+    for axis in (0, 1):
+        # a point exactly on a box boundary belongs to the lower-index box
+        idx = np.ceil(pts[:, axis] * 2.0**finest).astype(np.int64) - 1
+        np.maximum(idx, 0, out=idx)
+        if idx.max() >= 1 << 32:
+            raise ValueError("points lie too far outside [0, 1]^2 for the finest grid")
+        codes |= _spread_bits(idx) << np.uint64(axis)
+    codes.sort()
+    # the highest differing bit of two neighbours says up to which grid
+    # they share a box
+    change = codes[1:] ^ codes[:-1]
+    return [1 + int(np.count_nonzero(change >= 1 << 2 * (finest - k))) for k in levels]
+
+
 def box_counting(points: np.ndarray, grid_sizes: Sequence[float]) -> BoxCountFit:
-    """Box-counting slope over dyadic-style grids anchored at the simplex
-    bounding box ([0,1]^2 always, so grids do not depend on the cloud).
+    """Box-counting slope over dyadic grids of sizes 2**-k anchored at the
+    simplex bounding box ([0,1]^2 always, so grids do not depend on the
+    cloud).
 
     Points on box boundaries go to the lower-index box.  Requires at
-    least 4 sizes spanning 1.5 decades; a cloud spanning fewer than 2
-    boxes at the coarsest size raises DegenerateCloud (a single point is
-    the dimension-0 edge case and is allowed)."""
+    least 4 sizes spanning 1.5 decades, each of the form 2**-k (else
+    ValueError); a cloud spanning fewer than 2 boxes at the coarsest size
+    raises DegenerateCloud (a single point is the dimension-0 edge case
+    and is allowed)."""
     pts = np.asarray(points, dtype=float)
     sizes = sorted(float(s) for s in grid_sizes)
     if len(sizes) < 4:
         raise ValueError("need at least 4 grid sizes")
     if math.log10(sizes[-1] / sizes[0]) < 1.5:
         raise ValueError("grid sizes must span at least 1.5 decades")
-    counts = []
-    for s in sizes:
-        # grid anchored at the unit bounding box; a point exactly on a
-        # box boundary belongs to the lower-index box
-        ij = np.ceil(pts / s).astype(np.int64) - 1
-        ij = np.maximum(ij, 0)
-        width = int(math.ceil(1.0 / s)) + 2
-        occ = len(np.unique(ij[:, 0] * width + ij[:, 1]))
-        counts.append(occ)
+    counts = _box_counts(pts, [_dyadic_level(s) for s in sizes])
     if len(pts) and (pts == pts[0]).all():
         return BoxCountFit(dimension=0.0, residual=0.0, sizes=sizes, counts=counts)
     if counts[-1] < 2:
@@ -413,6 +569,8 @@ class DimensionReport:
     depths_used: dict
     samples_used: dict
     seeds: dict
+    counters: dict  # work done and mass left unresolved, per stage
+    timings: dict  # wall seconds per stage
     notes: str = ""
 
     def to_json(self) -> dict:
@@ -429,6 +587,8 @@ class DimensionReport:
             "depths_used": self.depths_used,
             "samples_used": self.samples_used,
             "seeds": self.seeds,
+            "counters": self.counters,
+            "timings": self.timings,
         }
         if self.notes:
             out["notes"] = self.notes
@@ -449,12 +609,21 @@ def dimension_report(
     independent box-counting estimate on a chaos-game cloud."""
     from .markov import chaos_game
 
-    delta = delta_estimate(delta_depth, measure_floor=measure_floor)
-    alpha = fast_decay_estimate(alpha_depth, n_cap=n_cap, measure_floor=measure_floor)
-    cloud = chaos_game(points, seed=seed, workers=workers)
+    timings = {}
+
+    def timed(stage, fn, *args, **kw):
+        t0 = time.perf_counter()
+        out = fn(*args, **kw)
+        timings[stage] = time.perf_counter() - t0
+        return out
+
+    delta = timed("delta_s", delta_estimate, delta_depth, measure_floor=measure_floor)
+    alpha = timed("alpha1_s", fast_decay_estimate, alpha_depth, n_cap=n_cap,
+                  measure_floor=measure_floor)
+    cloud = timed("chaos_game_s", chaos_game, points, seed=seed, workers=workers)
     if grid_sizes is None:
         grid_sizes = [2.0**-k for k in range(4, 11)]
-    box = box_counting(cloud, grid_sizes)
+    box = timed("box_counting_s", box_counting, cloud, grid_sizes)
     bound = ad_bound(delta.exponent, alpha.exponent)
     return DimensionReport(
         delta_hat=delta.exponent,
@@ -468,6 +637,13 @@ def dimension_report(
                      "n_cap": n_cap, "measure_floor": str(measure_floor)},
         samples_used={"cloud_points": points},
         seeds={"cloud": seed},
+        counters={
+            "survivor_nodes": delta.nodes,
+            "delta_relative_widths": delta.widths,
+            "cylinders_enumerated": alpha.enumerated,
+            "alpha1_remainder": _ratio_text(alpha.remainder_exact),
+        },
+        timings=timings,
         notes=(
             "delta is the decay rate per elementary step; the per-block rate is "
             "at least as large, so the reported bound is an upper bound either way"

@@ -267,7 +267,9 @@ def chaos_game(
     Returns an (count, 2) array of (lambda1, lambda2) coordinates in the
     full (unsorted) simplex.  The stream is organized as fixed-size
     independent chains, each burned in from the barycenter and seeded as
-    (seed, chain): output is bit-identical for any worker count.
+    (seed, chain).  All chains advance together in one vectorized numpy
+    pass on the calling thread: ``workers`` is accepted for a uniform
+    call signature but unused, so the output cannot depend on it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

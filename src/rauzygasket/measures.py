@@ -63,12 +63,17 @@ def dual_update(q: Sequence, winner: int, n: int = 1) -> tuple:
     return tuple(q[i] if i == w else q[i] + n * q[w] for i in range(3))
 
 
-def cone_measure(q: Sequence, order: Sequence[int]) -> Fraction:
-    """nu_q of the cone where the letters are sorted as ``order``."""
+def cone_denominator(q: Sequence, order: Sequence[int]):
+    """q_{p1} (q_{p1} + q_{p2}) (q_1 + q_2 + q_3): the reciprocal of
+    ``cone_measure``, an integer whenever the weights are."""
     q1 = q[order[0] - 1]
     q2 = q[order[1] - 1]
-    total = q[0] + q[1] + q[2]
-    return Fraction(1, 1) / (q1 * (q1 + q2) * total)
+    return q1 * (q1 + q2) * (q[0] + q[1] + q[2])
+
+
+def cone_measure(q: Sequence, order: Sequence[int]) -> Fraction:
+    """nu_q of the cone where the letters are sorted as ``order``."""
+    return Fraction(1, 1) / cone_denominator(q, order)
 
 
 def path_probability(q: Sequence, path: RauzyPath) -> Fraction:
@@ -95,13 +100,18 @@ def cylinder_measure(path: RauzyPath, q: Sequence = Q_ONES) -> Fraction:
     return cone_measure(out, path.end) / cone_measure(q0, path.start)
 
 
-# --- exact one-level decompositions (consumed by the dimension module) ------
+# --- exact one-level decompositions ------------------------------------------
+#
+# Exact Fraction reference forms of the conditional masses.  The dimension
+# pipeline no longer calls them: it runs the same calculus on the integer
+# denominators of ``cone_denominator``.  Tests check it against these.
 
 def elementary_children(q: Sequence, order: Sequence[int]):
     """Conditional masses of the three elementary arrows from a state.
 
     Returns (children, hole) where children maps kind -> (mass, q', order')
     and hole is the exact leftover mass of the immediate hole cell.
+    Reference form only; the survivor sweep in ``dimension`` does not call it.
     """
     w = order[0]
     parent = cone_measure(q, order)
@@ -118,7 +128,9 @@ def elementary_children(q: Sequence, order: Sequence[int]):
 
 def running_mass(q: Sequence, order: Sequence[int], n: int) -> Fraction:
     """Conditional mass of 'the leader has won n times and is still the
-    longest' (the exact enumeration remainder at counter cap n)."""
+    longest' (the exact enumeration remainder at counter cap n).
+    Reference form only; the cylinder walk in ``dimension`` does not call it.
+    """
     if n == 0:
         return Fraction(1)
     qn = dual_update(q, order[0], n)
@@ -127,7 +139,8 @@ def running_mass(q: Sequence, order: Sequence[int], n: int) -> Fraction:
 
 def block_child(q: Sequence, order: Sequence[int], n: int, kind: str):
     """Conditional mass of the accelerated branch (n, kind) plus its
-    endpoint state."""
+    endpoint state.  Reference form only; the cylinder walk in
+    ``dimension`` does not call it."""
     w = order[0]
     qn = dual_update(q, w, n)
     target = apply_kind(tuple(order), kind)
@@ -136,7 +149,9 @@ def block_child(q: Sequence, order: Sequence[int], n: int, kind: str):
 
 
 def hole_mass_at(q: Sequence, order: Sequence[int], k: int) -> Fraction:
-    """Conditional mass of the k-th hole cell (die at the k-th win)."""
+    """Conditional mass of the k-th hole cell (die at the k-th win).
+    Reference form only; the cylinder walk in ``dimension`` does not call
+    it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     alive_before = running_mass(q, order, k - 1)

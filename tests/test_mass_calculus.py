@@ -1,0 +1,205 @@
+"""The integer mass calculus of the dimension pipeline against the exact
+Fraction reference forms of ``measures`` and against brute-force
+references written here."""
+
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rauzygasket.dimension import (
+    _block_denominators,
+    _hole_fraction,
+    _ratio_text,
+    box_counting,
+    delta_estimate,
+    depth_totals,
+    dimension_report,
+    enumerate_cylinders,
+    survivor_mass,
+)
+from rauzygasket.graph import START, apply_kind, path_from_blocks
+from rauzygasket.induction import CYC, SWAP
+from rauzygasket.measures import (
+    block_child,
+    cone_denominator,
+    cylinder_measure,
+    hole_mass_at,
+    running_mass,
+)
+
+ORDERINGS = st.permutations([1, 2, 3]).map(tuple)
+BLOCKS = st.lists(
+    st.tuples(st.integers(1, 10**6), st.sampled_from([SWAP, CYC])), min_size=1, max_size=4
+)
+WEIGHTS = st.tuples(*[st.integers(1, 10**6)] * 3)
+
+
+# --- closed forms ------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(start=ORDERINGS, blocks=BLOCKS)
+def test_end_state_denominator_is_cylinder_measure(start, blocks):
+    q, order = (1, 1, 1), start
+    for n, kind in blocks:
+        q, _, d_swap, d_cyc = _block_denominators(q, order, n)
+        den = d_swap if kind == SWAP else d_cyc
+        order = apply_kind(order, kind)
+    assert den == cone_denominator(q, order)
+    assert F(6, den) == cylinder_measure(path_from_blocks(start, blocks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=WEIGHTS, order=ORDERINGS, k=st.integers(1, 10**6))
+def test_hole_and_cap_terms_match_reference_forms(q, order, k):
+    d_node = cone_denominator(q, order)
+    d_before = _block_denominators(q, order, k - 1)[1]
+    _, d_after, d_swap, d_cyc = _block_denominators(q, order, k)
+    num, den = _hole_fraction(d_before, d_after, d_swap, d_cyc)
+    assert F(num * d_node, den) == hole_mass_at(q, order, k)
+    assert F(d_node, d_after) == running_mass(q, order, k)
+    assert F(d_node, d_swap) == block_child(q, order, k, SWAP)[0]
+    assert F(d_node, d_cyc) == block_child(q, order, k, CYC)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=ORDERINGS,
+    q=st.tuples(*[st.fractions(min_value=F(1, 12), max_value=50, max_denominator=12)] * 3),
+    n_cap=st.integers(1, 10),
+)
+def test_depth1_walk_matches_reference_forms(start, q, n_cap):
+    want = []
+    for n in range(1, n_cap + 1):
+        for kind in (SWAP, CYC):
+            want.append(((n, kind), block_child(q, start, n, kind)[0], "branch"))
+        hole = hole_mass_at(q, start, n)
+        if hole > 0:
+            want.append(((n, "hole"), hole, "hole"))
+    want.append(((n_cap, "remainder"), running_mass(q, start, n_cap), "remainder"))
+    got = [
+        (cyl.path[0], cyl.measure, cyl.kind)
+        for cyl in enumerate_cylinders(1, n_cap=n_cap, start=start, q=q)
+    ]
+    assert got == want
+
+
+def test_child_and_hole_exactly_at_the_floor_are_kept():
+    records = list(enumerate_cylinders(1, n_cap=8))
+    branch = [c for c in records if c.kind == "branch"][5]
+    hole = [c for c in records if c.kind == "hole"][3]
+    for cyl in (branch, hole):
+        at = {c.path: c.measure for c in enumerate_cylinders(1, n_cap=8, measure_floor=cyl.measure)}
+        assert at[cyl.path] == cyl.measure
+        above = cyl.measure + F(1, 10**40)
+        assert cyl.path not in {c.path for c in enumerate_cylinders(1, n_cap=8, measure_floor=above)}
+        assert depth_totals(2, n_cap=8, measure_floor=cyl.measure)["total"] == 1
+        assert depth_totals(2, n_cap=8, measure_floor=above)["total"] == 1
+
+
+def test_survivor_node_exactly_at_the_floor_is_expanded():
+    # the lightest depth-1 elementary node is the cyc step, 6 / (2 * 4 * 5)
+    exact = survivor_mass(2)
+    assert survivor_mass(2, measure_floor=F(3, 20)) == exact
+    lo, hi = survivor_mass(2, measure_floor=F(3, 20) + F(1, 10**9))
+    assert lo < exact[0] < hi
+    assert hi - lo == F(3, 20)
+
+
+# --- survivor sweep --------------------------------------------------------------------
+
+def test_delta_values_match_separate_brackets():
+    fit = delta_estimate(8)
+    assert fit.values == [-math.log(float(survivor_mass(d)[0])) for d in range(2, 9)]
+    assert fit.nodes == (3**9 - 1) // 2
+
+
+def _brute_bracket(depth, floor):
+    """Every elementary path of length ``depth``: weights walked from
+    (1, 1, 1), chart mass 6 / (q_p1 (q_p1 + q_p2) (q_1 + q_2 + q_3)).  A
+    path below the floor before ``depth`` counts in the upper bound only."""
+    lo = F(0)
+    unresolved = F(0)
+
+    def visit(q, order, level):
+        nonlocal lo, unresolved
+        a, b = q[order[0] - 1], q[order[1] - 1]
+        mass = F(6, a * (a + b) * sum(q))
+        if level == depth:
+            lo += mass
+            return
+        if mass < floor:
+            unresolved += mass
+            return
+        lead = q[order[0] - 1]
+        q1 = tuple(x if letter == order[0] else x + lead for letter, x in zip((1, 2, 3), q))
+        p1, p2, p3 = order
+        for nxt in ((p1, p2, p3), (p2, p1, p3), (p2, p3, p1)):
+            visit(q1, nxt, level + 1)
+
+    visit((1, 1, 1), START, 0)
+    return lo, lo + unresolved
+
+
+def test_survivor_brackets_with_floor_match_brute_force():
+    floor = F(1, 10**4)
+    brackets = [survivor_mass(d, measure_floor=floor) for d in range(7)]
+    assert brackets == [_brute_bracket(d, floor) for d in range(7)]
+    assert brackets[6][0] < brackets[6][1]  # the floor does prune by depth 6
+
+
+# --- box counting ----------------------------------------------------------------------
+
+def _unique_counts(pts, sizes):
+    counts = []
+    for s in sizes:
+        ij = np.maximum(np.ceil(pts / s).astype(np.int64) - 1, 0)
+        counts.append(len(np.unique(ij, axis=0)))
+    return counts
+
+
+def test_box_counts_match_per_level_unique():
+    rng = np.random.default_rng(11)
+    parts = [rng.random((20000, 2))]
+    for k in range(0, 13):
+        # points exactly on the box edges of several grids
+        parts.append(rng.integers(0, 2**k + 1, size=(200, 2)) / 2**k)
+    parts.append(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.0]]))
+    pts = np.concatenate(parts)
+    sizes = [2.0**-k for k in range(1, 13)]
+    fit = box_counting(pts, sizes)
+    assert fit.counts == _unique_counts(pts, sorted(sizes))
+
+
+@pytest.mark.parametrize("sizes", [
+    [0.3, 0.1, 0.03, 0.003],
+    [3.0**-k for k in range(1, 6)],
+    [2.0, 0.5, 0.25, 0.125, 0.0078125],
+    [2.0**-k for k in range(26, 34)],
+])
+def test_box_non_dyadic_size_rejected(sizes):
+    with pytest.raises(ValueError, match="not 2"):
+        box_counting(np.array([[0.2, 0.3], [0.6, 0.1]]), sizes)
+
+
+# --- report counters ---------------------------------------------------------------------
+
+def test_report_counters_and_timings():
+    report = dimension_report(delta_depth=6, alpha_depth=1, n_cap=64, points=20000, seed=2)
+    obj = report.to_json()
+    counters = obj["counters"]
+    assert counters["survivor_nodes"] == (3**7 - 1) // 2
+    assert counters["delta_relative_widths"] == [0.0] * 5
+    assert counters["cylinders_enumerated"] == 128
+    remainder = depth_totals(1, n_cap=64, measure_floor=F(1, 10**12))["remainder"]
+    assert F(counters["alpha1_remainder"]) == remainder
+    assert set(obj["timings"]) == {"delta_s", "alpha1_s", "chaos_game_s", "box_counting_s"}
+    assert all(t >= 0 for t in obj["timings"].values())
+
+
+def test_ratio_text_past_the_int_to_str_cap():
+    # exact remainders at accelerated depth 3 run past 4300 digits
+    assert _ratio_text(F(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"

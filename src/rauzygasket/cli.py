@@ -61,6 +61,8 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 
+RENDER_MAX_SIDE = 8192  # the raster takes about 17 bytes per pixel
+
 
 def _provenance(args, seed=None) -> dict:
     flags = {
@@ -219,6 +221,9 @@ def cmd_render(args) -> int:
     if width < 64 or height < 64:
         log.error("size must be at least 64x64")
         return EXIT_BAD_INPUT
+    if max(width, height) > RENDER_MAX_SIDE:
+        log.error("size must be at most %dx%d", RENDER_MAX_SIDE, RENDER_MAX_SIDE)
+        return EXIT_BAD_INPUT
     points = chaos_game(args.points, seed=seed, workers=args.workers)
     image = rasterize(points, width, height)
     prov = {"version": __version__, "seed": seed, "points": args.points}
@@ -341,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="rasterize the gasket to a PGM file")
     p.add_argument("--points", type=int, default=10**6)
-    p.add_argument("--size", default="1024x1024")
+    p.add_argument("--size", default="1024x1024",
+                   help=f"WIDTHxHEIGHT, each side 64..{RENDER_MAX_SIDE}")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_render)

@@ -29,6 +29,8 @@ POINTS_MAGIC = b"RGPTS001"
 
 _CHAIN_BLOCK = 4096  # chaos-game chains per seed block; fixed so the
 # sample stream is independent of worker count
+_TILE = 64  # chaos-game output steps buffered before the chain-major copy
+_RASTER_CHUNK = 1 << 20  # points counted per pass of rasterize
 
 
 class TieOnBoundary(Exception):
@@ -245,16 +247,6 @@ def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 # --- the gasket as an attractor ---------------------------------------------
 
-def _ifs_apply(lam: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    """One inverse-branch move of the three elementary gasket maps on the
-    full simplex: the chosen coordinate jumps to 1 before renormalizing."""
-    idx = np.arange(lam.shape[0])
-    lam = lam.copy()
-    lam[idx, choice] = 1.0
-    total = lam.sum(axis=1)
-    return lam / total[:, None]
-
-
 def chaos_game(
     count: int,
     burn_in: int = 64,
@@ -267,31 +259,59 @@ def chaos_game(
     Returns an (count, 2) array of (lambda1, lambda2) coordinates in the
     full (unsorted) simplex.  The stream is organized as fixed-size
     independent chains, each burned in from the barycenter and seeded as
-    (seed, chain).  All chains advance together in one vectorized numpy
-    pass on the calling thread: ``workers`` is accepted for a uniform
-    call signature but unused, so the output cannot depend on it.
+    (seed, chain).  One move sets the drawn coordinate to 1 and divides
+    all three by their sum.
+
+    The draws are stored step-major, one byte each, so a step reads one
+    contiguous row and advances three 1-D coordinate arrays.  Output
+    steps are buffered in a ``_TILE``-step tile and copied into the
+    chain-major result a tile at a time.  Memory: 16 bytes per point for
+    the result, one byte per step and chain for the draws (two while
+    they are transposed), and the fixed tile.
+
+    All chains advance together on the calling thread: ``workers`` is
+    accepted for a uniform call signature but unused, so the output
+    cannot depend on it.  Two threads of 2048 chains each gave no gain:
+    at that width each numpy call costs mostly interpreter time.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     per_chain = max(1, -(-count // _CHAIN_BLOCK))
     chains = -(-count // per_chain)
-    lam = np.full((chains, 3), 1.0 / 3.0)
+    steps = burn_in + per_chain
     p = None if weights is None else np.asarray(weights, dtype=float)
     if p is not None:
         p = p / p.sum()
-    draws = np.empty((chains, burn_in + per_chain), dtype=np.int64)
+    draws = np.empty((chains, steps), dtype=np.uint8)
     for chain in range(chains):
         rng = np.random.default_rng((seed, chain))
         if p is None:
-            draws[chain] = rng.integers(0, 3, size=burn_in + per_chain)
+            draws[chain] = rng.integers(0, 3, size=steps)
         else:
-            draws[chain] = rng.choice(3, size=burn_in + per_chain, p=p)
+            draws[chain] = rng.choice(3, size=steps, p=p)
+    draws = np.ascontiguousarray(draws.T)
+    # lam[i] is coordinate i of every chain; lam.flat[i * chains + j] is
+    # coordinate i of chain j
+    lam = np.full((3, chains), 1.0 / 3.0)
+    flat = lam.reshape(-1)
+    row = np.arange(chains)
+    stride = np.intp(chains)
+    total = np.empty(chains)
+    tile = np.empty((2, _TILE, chains))
     out = np.empty((chains, per_chain, 2))
-    for step in range(burn_in + per_chain):
-        lam = _ifs_apply(lam, draws[:, step])
-        if step >= burn_in:
-            out[:, step - burn_in, 0] = lam[:, 0]
-            out[:, step - burn_in, 1] = lam[:, 1]
+    for step in range(steps):
+        flat[draws[step] * stride + row] = 1.0
+        np.add(lam[0], lam[1], out=total)  # (l0 + l1) + l2: this order fixes the stream
+        total += lam[2]
+        lam /= total
+        k = step - burn_in
+        if k < 0:
+            continue
+        tile[:, k % _TILE] = lam[:2]
+        if k % _TILE == _TILE - 1 or k == per_chain - 1:
+            lo = k - k % _TILE
+            out[:, lo:k + 1, 0] = tile[0, :k + 1 - lo].T
+            out[:, lo:k + 1, 1] = tile[1, :k + 1 - lo].T
     return out.reshape(chains * per_chain, 2)[:count]
 
 
@@ -349,22 +369,27 @@ def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
     """Log-scaled density raster of simplex points in barycentric coords.
 
     Simplex vertices map to an equilateral triangle inscribed in the
-    image; brightness is log(1 + hits) rescaled to 0..255.
+    image; brightness is log(1 + hits) rescaled to 0..255.  Points are
+    counted ``_RASTER_CHUNK`` at a time, so the temporaries stay small.
     """
-    lam1 = np.asarray(points)[:, 0]
-    lam2 = np.asarray(points)[:, 1]
-    lam3 = 1.0 - lam1 - lam2
-    x = lam2 + 0.5 * lam3
-    y = (np.sqrt(3.0) / 2.0) * lam3
-    xs = np.clip((x * (width - 1)).astype(np.int64), 0, width - 1)
-    ys = np.clip((y / (np.sqrt(3.0) / 2.0) * (height - 1)).astype(np.int64), 0, height - 1)
-    counts = np.zeros((height, width), dtype=np.int64)
-    np.add.at(counts, (height - 1 - ys, xs), 1)
-    dens = np.log1p(counts)
+    points = np.asarray(points)
+    counts = np.zeros(height * width, dtype=np.int64)
+    for lo in range(0, len(points), _RASTER_CHUNK):
+        lam1 = points[lo:lo + _RASTER_CHUNK, 0]
+        lam2 = points[lo:lo + _RASTER_CHUNK, 1]
+        lam3 = 1.0 - lam1 - lam2
+        x = lam2 + 0.5 * lam3
+        y = (np.sqrt(3.0) / 2.0) * lam3
+        xs = np.clip((x * (width - 1)).astype(np.int64), 0, width - 1)
+        ys = np.clip((y / (np.sqrt(3.0) / 2.0) * (height - 1)).astype(np.int64), 0, height - 1)
+        counts += np.bincount((height - 1 - ys) * width + xs, minlength=height * width)
+    dens = np.log1p(counts.reshape(height, width))
     peak = dens.max()
     if peak > 0:
-        dens = dens / peak
-    return (dens * 255.0 + 0.5).astype(np.uint8)
+        dens /= peak
+    dens *= 255.0
+    dens += 0.5
+    return dens.astype(np.uint8)
 
 
 def write_pgm(image: np.ndarray, fh, provenance: Optional[dict] = None):

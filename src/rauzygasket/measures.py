@@ -517,6 +517,9 @@ class TailCurve:
     no_return: int
     fit_points: int
     loop: str = ""
+    drawn: int = 0  # section points drawn, the denominator of probabilities
+    fit_t_min: Optional[float] = None  # smallest threshold in the fit
+    fit_t_max: Optional[float] = None  # largest threshold in the fit
 
     def to_json(self) -> dict:
         return {
@@ -528,6 +531,9 @@ class TailCurve:
             "no_return": self.no_return,
             "fit_points": self.fit_points,
             "loop": self.loop,
+            "drawn": self.drawn,
+            "fit_t_min": self.fit_t_min,
+            "fit_t_max": self.fit_t_max,
         }
 
     def to_csv(self) -> str:
@@ -630,20 +636,9 @@ def return_roofs(
     return roofs, drawn, lost
 
 
-def fit_tail(
-    roofs: np.ndarray,
-    draws: int,
-    t_grid: Optional[Sequence[float]] = None,
-    min_count: int = 100,
-) -> tuple[list, list, float, float, int]:
-    """Empirical tail P(r >= log T), normalized by section points drawn,
-    and its log-log slope.
-
-    Only thresholds exceeded by at least ``min_count`` returns enter the
-    fit (variance control).  The default grid spans the genuine tail:
-    from the 99th percentile of the observed roofs (past any short-return
-    bulk) down to the ``min_count`` order statistic.
-    """
+def _tail_fit(roofs: np.ndarray, draws: int, t_grid, min_count: int):
+    """``fit_tail`` with the thresholds that entered the fit in place of
+    their number."""
     n = roofs.size
     if t_grid is None and n > min_count:
         srt = np.sort(roofs)
@@ -666,13 +661,32 @@ def fit_tail(
         counts.append(c)
         probs.append(c / draws if draws else 0.0)
     usable = [(t, p) for t, p, c in zip(ts, probs, counts) if c >= min_count and p < 1.0]
+    window = [t for t, _ in usable]
     if len(usable) < 2:
-        return ts, probs, float("nan"), float("nan"), len(usable)
-    x = np.log([t for t, _ in usable])
+        return ts, probs, float("nan"), float("nan"), window
+    x = np.log(window)
     y = np.log([p for _, p in usable])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return ts, probs, float(-slope), resid, len(usable)
+    return ts, probs, float(-slope), resid, window
+
+
+def fit_tail(
+    roofs: np.ndarray,
+    draws: int,
+    t_grid: Optional[Sequence[float]] = None,
+    min_count: int = 100,
+) -> tuple[list, list, float, float, int]:
+    """Empirical tail P(r >= log T), normalized by section points drawn,
+    and its log-log slope.
+
+    Only thresholds exceeded by at least ``min_count`` returns enter the
+    fit (variance control).  The default grid spans the genuine tail:
+    from the 99th percentile of the observed roofs (past any short-return
+    bulk) down to the ``min_count`` order statistic.
+    """
+    ts, probs, exponent, resid, window = _tail_fit(roofs, draws, t_grid, min_count)
+    return ts, probs, exponent, resid, len(window)
 
 
 def roof_tail(
@@ -686,7 +700,7 @@ def roof_tail(
 ) -> TailCurve:
     """Tail curve over at least ``samples`` first-return samples."""
     roofs, drawn, lost = return_roofs(loop, samples, seed=seed, cap=cap, workers=workers)
-    ts, probs, exponent, residual, used = fit_tail(roofs, drawn, t_grid)
+    ts, probs, exponent, residual, window = _tail_fit(roofs, drawn, t_grid, 100)
     return TailCurve(
         thresholds=ts,
         probabilities=probs,
@@ -694,6 +708,9 @@ def roof_tail(
         fit_residual=residual,
         samples=int(roofs.size),
         no_return=lost,
-        fit_points=used,
+        fit_points=len(window),
         loop=loop_name,
+        drawn=drawn,
+        fit_t_min=min(window, default=None),
+        fit_t_max=max(window, default=None),
     )

@@ -203,6 +203,37 @@ def test_render_bad_size(tmp_path, capsys):
     assert code == 2
 
 
+def test_render_size_above_limit_rejected(tmp_path, capsys, caplog, monkeypatch):
+    import rauzygasket.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized render must not reach the chaos game")
+
+    monkeypatch.setattr(cli, "chaos_game", never)
+    side = cli.RENDER_MAX_SIDE
+    for size in ("100000x100000", f"{side + 1}x64", f"64x{side + 1}"):
+        out = tmp_path / "x.pgm"
+        code, stdout = run_cli(
+            capsys, "render", "--points", "10", "--size", size, "--out", str(out),
+        )
+        assert code == 2 and stdout == "" and not out.exists()
+    assert f"at most {side}x{side}" in caplog.text
+
+
+def test_render_size_at_limit_accepted(tmp_path, capsys):
+    from rauzygasket.cli import RENDER_MAX_SIDE
+
+    out = tmp_path / "wide.pgm"
+    code, _ = run_cli(
+        capsys, "render", "--points", "1", "--size", f"{RENDER_MAX_SIDE}x64", "--out", str(out),
+    )
+    assert code == 0
+    header = f"{RENDER_MAX_SIDE} 64\n255\n".encode()
+    data = out.read_bytes()
+    assert header in data
+    assert len(data) == data.index(header) + len(header) + RENDER_MAX_SIDE * 64
+
+
 def test_render_io_error(capsys):
     code, _ = run_cli(
         capsys, "render", "--points", "10", "--size", "64x64",

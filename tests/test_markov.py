@@ -287,6 +287,45 @@ def test_chaos_game_weights():
     assert (pts > 0).all()
 
 
+def _reference_chain(chain, per_chain, burn_in, seed, weights):
+    """One chain of the chaos game, drawn and advanced one scalar at a
+    time: its own generator, the same draw call, a plain Python update."""
+    rng = np.random.default_rng((seed, chain))
+    steps = burn_in + per_chain
+    if weights is None:
+        draws = rng.integers(0, 3, size=steps)
+    else:
+        p = np.asarray(weights, dtype=float)
+        draws = rng.choice(3, size=steps, p=p / p.sum())
+    lam = [1.0 / 3.0] * 3
+    out = []
+    for step, w in enumerate(draws.tolist()):
+        lam[w] = 1.0
+        total = (lam[0] + lam[1]) + lam[2]
+        lam = [x / total for x in lam]
+        if step >= burn_in:
+            out.append((lam[0], lam[1]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 4096 * 65 + 3])
+@pytest.mark.parametrize(
+    "burn_in,weights", [(64, None), (0, None), (64, (0.2, 0.3, 0.5))]
+)
+def test_chaos_game_matches_scalar_reference(count, burn_in, weights):
+    # chain j owns rows j*per_chain .. (j+1)*per_chain - 1 of the output;
+    # 4096 * 65 + 3 points give 66 steps per chain, past one 64-step tile
+    pts = chaos_game(count, burn_in=burn_in, seed=11, weights=weights)
+    per_chain = -(-count // 4096)
+    chains = -(-count // per_chain)
+    for chain in sorted({0, 1, chains - 1}):
+        if chain >= chains:
+            continue
+        ref = _reference_chain(chain, per_chain, burn_in, 11, weights)
+        got = pts[chain * per_chain:(chain + 1) * per_chain]
+        assert got.tobytes() == ref[:len(got)].tobytes(), chain
+
+
 def test_chaos_game_exact_points_survive_ten_steps():
     points = chaos_game_exact(100, burn_in=64, seed=6)
     for lam in points:
@@ -326,6 +365,42 @@ def test_rasterize_single_point():
     img = rasterize(np.array([[0.4, 0.3]]), 64, 64)
     assert img.shape == (64, 64)
     assert np.count_nonzero(img) == 1
+
+
+def _reference_raster(points, width, height):
+    """The raster counted point by point with ``np.add.at``."""
+    lam1, lam2 = points[:, 0], points[:, 1]
+    lam3 = 1.0 - lam1 - lam2
+    x = lam2 + 0.5 * lam3
+    y = (np.sqrt(3.0) / 2.0) * lam3
+    xs = np.clip((x * (width - 1)).astype(np.int64), 0, width - 1)
+    ys = np.clip((y / (np.sqrt(3.0) / 2.0) * (height - 1)).astype(np.int64), 0, height - 1)
+    counts = np.zeros((height, width), dtype=np.int64)
+    np.add.at(counts, (height - 1 - ys, xs), 1)
+    dens = np.log1p(counts)
+    dens = dens / dens.max()
+    return (dens * 255.0 + 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize("width,height", [(96, 64), (64, 96), (64, 64)])
+def test_rasterize_matches_add_at_reference(width, height):
+    # more than 2**20 points, so the count crosses a chunk boundary, plus
+    # the vertices, edge points and points outside the simplex (clipped)
+    rng = np.random.default_rng(5)
+    special = np.array([
+        [1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+        [0.5, 0.5], [0.5, 0.0], [0.0, 0.5], [0.25, 0.75], [0.0, 0.999],
+        [-0.5, 0.2], [1.5, -0.3], [0.7, 0.7], [-1.0, -1.0], [2.0, 2.0],
+    ])
+    inside = chaos_game((1 << 20) + 1000, seed=3)
+    outside = rng.uniform(-0.5, 1.5, size=(5000, 2))
+    pts = np.concatenate([special, inside[:1 << 19], special, inside[1 << 19:], outside])
+    img = rasterize(pts, width, height)
+    assert img.shape == (height, width)
+    assert img.tobytes() == _reference_raster(pts, width, height).tobytes()
+    one = np.array([[0.4, 0.3]])
+    ref = _reference_raster(one, width, height)
+    assert rasterize(one, width, height).tobytes() == ref.tobytes()
 
 
 def test_raster_central_hole_is_empty():

@@ -500,6 +500,27 @@ def test_tail_curve_fields_and_monotonicity():
     assert len(csv) == len(curve.thresholds) + 1
 
 
+def test_tail_curve_reports_draws_and_fit_window():
+    loop = loop_ccc()
+    curve = roof_tail(loop, samples=5000, seed=8)
+    roofs, drawn, lost = return_roofs(loop, 5000, seed=8)
+    ts, probs, exponent, _, used = fit_tail(roofs, drawn)
+    assert curve.drawn == drawn
+    assert curve.probabilities == probs and curve.fitted_exponent == exponent
+    assert curve.fit_points == used >= 2
+    # the window is bounded by the smallest and largest threshold exceeded
+    # by at least 100 returns
+    window = [t for t in ts if np.count_nonzero(roofs >= math.log(t)) >= 100]
+    assert (curve.fit_t_min, curve.fit_t_max) == (window[0], window[-1])
+    assert len(window) == used
+    obj = curve.to_json()
+    assert (obj["drawn"], obj["fit_t_min"], obj["fit_t_max"]) == (drawn, window[0], window[-1])
+    # a grid no threshold of which is reached leaves the window empty
+    empty = roof_tail(loop, samples=500, seed=8, t_grid=[1e9, 1e10])
+    assert empty.fit_points == 0 and empty.fit_t_min is None and empty.fit_t_max is None
+    assert empty.drawn > 0
+
+
 def test_exp_weighted_partial_sums_stabilize():
     # integrability proxy at sigma = delta/2: the running estimate of
     # E[e^{sigma r}] moves < 1% over the last tenth of the sample stream

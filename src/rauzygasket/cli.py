@@ -149,9 +149,10 @@ def cmd_graph(args) -> int:
 
 def cmd_cylinders(args) -> int:
     floor = parse_fraction(args.floor) if args.floor else Fraction(0)
+    records = enumerate_cylinders(args.depth, measure_floor=floor, n_cap=args.ncap)
     first = {"provenance": _provenance(args)}
     sys.stdout.write(json.dumps(first) + "\n")
-    for cyl in enumerate_cylinders(args.depth, measure_floor=floor, n_cap=args.ncap):
+    for cyl in records:
         sys.stdout.write(json.dumps(cyl.to_json()) + "\n")
     return EXIT_OK
 

@@ -10,10 +10,12 @@ Two symbolic resolutions are used, on purpose:
   counter cap plus a measure floor and closed with an exact aggregated
   remainder, so conservation still holds as rational identities.
 
-delta measured per elementary step is at most the per-block rate
-(completing n blocks implies surviving n elementary steps), so the upper
-bound 2 - min(delta, alpha_1) reported here is conservative: never
-smaller than the one the per-block rate would give.
+The elementary decay rate tends to 0.  The all-stay path survives every
+step, and its depth-n cylinder has mass 6 / ((n + 2)(2n + 3)) ~ 3 / n^2,
+so -log mu(X_n) / n -> 0.  delta_hat is the least-squares slope of
+-log mu(X_n) over a finite window of depths, where that curve is still
+bending: it depends on the window and is not the limit rate.  The figure
+2 - min(delta_hat, alpha_1) inherits that window.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ class NonPositiveInput(Exception):
 # D = cone_denominator(q, order) and D0 is the same at the start state.
 # Every mass below is an integer pair (numerator, denominator); a Fraction
 # is built only where an exact total is reported.
+
+_UNIT_WEIGHTS = (1, 1, 1)  # the survivor sweep's start weights
+
 
 def _integer_weights(q: Sequence) -> tuple[int, int, int]:
     """The weights scaled to integers.  Masses are ratios of cubic forms in
@@ -171,9 +176,13 @@ def enumerate_cylinders(
     mass (counters past the cap, or any child below the floor together
     with its subtree) is emitted as one remainder record.  Enumerated +
     holes + remainders = 1 exactly at every depth.
+
+    The budgets are checked when it is called, before the first record.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if n_cap < 1:
+        raise ValueError("n_cap must be >= 1")
     floor = Fraction(measure_floor)
     fn, fd = floor.numerator, floor.denominator
     q0 = _integer_weights(q)
@@ -212,7 +221,7 @@ def enumerate_cylinders(
             level + 1,
         )
 
-    yield from walk((), tuple(start), q0, 0)
+    return walk((), tuple(start), q0, 0)
 
 
 def depth_totals(depth: int, **kw) -> dict:
@@ -233,52 +242,38 @@ class SurvivorSweep:
     nodes: int  # elementary nodes visited
 
 
-def survivor_sweep(
-    max_depth: int,
-    measure_floor: Fraction = Fraction(0),
-    start=START,
-    q: Sequence = Q_ONES,
-    assume_no_holes: bool = False,
-) -> SurvivorSweep:
+def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> SurvivorSweep:
     """Exact brackets [lower, upper] for the mass surviving d elementary
-    steps, for every d = 0..max_depth, from one depth-first sweep.
+    steps from the start ordering with unit weights, for every
+    d = 0..max_depth, from one depth-first sweep.
 
     With floor 0 each bracket is a point.  A node below the floor is not
     expanded: it is dead in the lower bound and alive in the upper of
-    every deeper bracket.  ``assume_no_holes`` is a sanity mode in which
-    every step survives, so all masses are 1 and the fitted decay rate
-    is 0.
+    every deeper bracket.
     """
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
     floor = Fraction(measure_floor)
     fn, fd = floor.numerator, floor.denominator
-    q0 = _integer_weights(q)
-    d0 = cone_denominator(q0, start)
+    d0 = cone_denominator(_UNIT_WEIGHTS, START)
     alive = [[] for _ in range(max_depth + 1)]
     pruned = [[] for _ in range(max_depth + 1)]
     nodes = 0
 
-    # a node's mass is k * d0 / d; k is 1 except under assume_no_holes
-    stack = [(tuple(start), q0, d0, 1, 0)]
+    # a node's mass is d0 / d
+    stack = [(START, _UNIT_WEIGHTS, d0, 0)]
     while stack:
-        order, weights, d, k, level = stack.pop()
+        order, weights, d, level = stack.pop()
         nodes += 1
-        num, den = k.numerator * d0, k.denominator * d
-        _add_term(alive[level], num, den)
+        _add_term(alive[level], d0, d)
         if level == max_depth:
             continue
-        if num * fd < fn * den:
-            _add_term(pruned[level], num, den)
+        if d0 * fd < fn * d:
+            _add_term(pruned[level], d0, d)
             continue
         q1, d_stay, d_swap, d_cyc = _block_denominators(weights, order, 1)
         for kind, dn in ((STAY, d_stay), (SWAP, d_swap), (CYC, d_cyc)):
-            stack.append((apply_kind(order, kind), q1, dn, k, level + 1))
-        if assume_no_holes:
-            hole_num, hole_den = _hole_fraction(d, d_stay, d_swap, d_cyc)
-            if hole_num > 0:
-                # sanity mode: put the hole mass back on the stay branch
-                stack.append((order, q1, d_stay, k * Fraction(hole_num * d_stay, hole_den), level + 1))
+            stack.append((apply_kind(order, kind), q1, dn, level + 1))
 
     brackets = []
     unresolved = Fraction(0)
@@ -289,16 +284,10 @@ def survivor_sweep(
     return SurvivorSweep(brackets=brackets, nodes=nodes)
 
 
-def survivor_mass(
-    depth: int,
-    measure_floor: Fraction = Fraction(0),
-    start=START,
-    q: Sequence = Q_ONES,
-    assume_no_holes: bool = False,
-) -> tuple[Fraction, Fraction]:
+def survivor_mass(depth: int, measure_floor: Fraction = Fraction(0)) -> tuple[Fraction, Fraction]:
     """Exact bracket [lower, upper] for the mass surviving ``depth``
     elementary steps: the deepest bracket of ``survivor_sweep``."""
-    return survivor_sweep(depth, measure_floor, start, q, assume_no_holes).brackets[depth]
+    return survivor_sweep(depth, measure_floor).brackets[depth]
 
 
 @dataclass
@@ -320,19 +309,17 @@ class DecayFit:
         }
 
 
-def delta_estimate(
-    max_depth: int,
-    measure_floor: Fraction = Fraction(0),
-    assume_no_holes: bool = False,
-    max_relative_width: float = 0.2,
-) -> DecayFit:
+_MAX_RELATIVE_WIDTH = 0.2  # widest truncation bracket delta_estimate accepts
+
+
+def delta_estimate(max_depth: int, measure_floor: Fraction = Fraction(0)) -> DecayFit:
     """Least-squares slope of -log mu(X_n) against n over n = 2..max_depth,
     using bracket midpoints.  Raises BracketTooWide when the truncation
-    bracket at the deepest level exceeds ``max_relative_width`` of the
+    bracket at the deepest level exceeds ``_MAX_RELATIVE_WIDTH`` of the
     midpoint."""
     if max_depth < 3:
         raise ValueError("max_depth must be >= 3")
-    sweep = survivor_sweep(max_depth, measure_floor, assume_no_holes=assume_no_holes)
+    sweep = survivor_sweep(max_depth, measure_floor)
     depths = list(range(2, max_depth + 1))
     values = []
     widths = []
@@ -342,7 +329,7 @@ def delta_estimate(
         width = float((hi - lo) / mid) if mid > 0 else math.inf
         widths.append(width)
         values.append(-math.log(float(mid)))
-    if widths[-1] > max_relative_width:
+    if widths[-1] > _MAX_RELATIVE_WIDTH:
         raise BracketTooWide(
             f"relative bracket width {widths[-1]:.3g} at depth {max_depth}; "
             "raise the depth budget or lower the measure floor"
@@ -386,12 +373,14 @@ class FastDecayFit:
         }
 
 
+_TRUNCATION_RATIO = 0.05  # largest remainder / S(eps) on the default grid
+
+
 def fast_decay_estimate(
     depth: int,
     eps_grid: Optional[Sequence[float]] = None,
     n_cap: int = 128,
     measure_floor: Fraction = Fraction(0),
-    truncation_ratio: float = 0.05,
 ) -> FastDecayFit:
     """S(eps) = total mass of depth-``depth`` accelerated cylinders of
     mass <= eps, fitted as log S against log eps.
@@ -399,7 +388,7 @@ def fast_decay_estimate(
     S is computed over the enumerated (surviving) cylinders.  The
     aggregated remainder mixes surviving and dead tail cells, so the
     default grid is clamped to the range where the remainder is at most
-    ``truncation_ratio`` of S (below the heaviest-cell scale the true S
+    ``_TRUNCATION_RATIO`` of S (below the heaviest-cell scale the true S
     and the enumerated S differ by less than that), and to S at most half
     of the total so the saturation plateau stays out of the fit.
     """
@@ -424,7 +413,7 @@ def fast_decay_estimate(
         return float(cum[idx - 1]) if idx > 0 else 0.0
 
     if eps_grid is None:
-        floor_s = rem / truncation_ratio
+        floor_s = rem / _TRUNCATION_RATIO
         lo_idx = int(np.searchsorted(cum, floor_s, side="left"))
         hi_idx = int(np.searchsorted(cum, 0.5 * float(cum[-1]), side="left"))
         lo_idx = min(lo_idx, values.size - 2)
@@ -549,13 +538,17 @@ def box_counting(points: np.ndarray, grid_sizes: Sequence[float]) -> BoxCountFit
 
 
 def ad_bound(delta_hat: float, alpha1_hat: float) -> float:
-    """Upper bound 2 - min(delta, alpha_1) for the three-letter system."""
+    """The figure 2 - min(delta, alpha_1) for the three-letter system; delta
+    is a finite-window slope (see the module docstring)."""
     if not (delta_hat > 0 and alpha1_hat > 0):
         raise NonPositiveInput("both decay exponents must be positive")
     return 2.0 - min(delta_hat, alpha1_hat)
 
 
 # --- pipeline -----------------------------------------------------------------
+
+_BOX_GRID = tuple(2.0**-k for k in range(4, 11))  # box sizes of the report
+
 
 @dataclass
 class DimensionReport:
@@ -602,7 +595,6 @@ def dimension_report(
     measure_floor: Fraction = Fraction(1, 10**12),
     points: int = 10**6,
     seed: int = 0,
-    grid_sizes: Optional[Sequence[float]] = None,
     workers: int = 1,
 ) -> DimensionReport:
     """Run the full pipeline: delta, alpha_1, the 2 - min bound, and an
@@ -621,9 +613,7 @@ def dimension_report(
     alpha = timed("alpha1_s", fast_decay_estimate, alpha_depth, n_cap=n_cap,
                   measure_floor=measure_floor)
     cloud = timed("chaos_game_s", chaos_game, points, seed=seed, workers=workers)
-    if grid_sizes is None:
-        grid_sizes = [2.0**-k for k in range(4, 11)]
-    box = timed("box_counting_s", box_counting, cloud, grid_sizes)
+    box = timed("box_counting_s", box_counting, cloud, _BOX_GRID)
     bound = ad_bound(delta.exponent, alpha.exponent)
     return DimensionReport(
         delta_hat=delta.exponent,
@@ -645,7 +635,9 @@ def dimension_report(
         },
         timings=timings,
         notes=(
-            "delta is the decay rate per elementary step; the per-block rate is "
-            "at least as large, so the reported bound is an upper bound either way"
+            "delta is a finite-window slope: the all-stay path survives every "
+            "elementary step and its depth-n cylinder has mass "
+            "6/((n+2)(2n+3)) ~ 3/n^2, so the elementary decay rate tends to 0 "
+            "and delta_hat is the slope of -log mu(X_n) over the depths fitted"
         ),
     )

@@ -29,7 +29,6 @@ from .induction import (
     LETTERS,
     STAY,
     SWAP,
-    STEP_MATRICES,
     Letter,
     _mat_mul,
 )
@@ -61,16 +60,6 @@ class Edge:
     dst: Perm3
     winner: Letter
     kind: str
-
-    @property
-    def length_matrix(self):
-        """Rank-coordinate elementary matrix (one of the three shapes)."""
-        return STEP_MATRICES[self.kind]
-
-    @property
-    def cocycle_block(self):
-        """Letter-coordinate length block M_w of this arrow."""
-        return CocycleMatrix.length_block(self.winner, 1)
 
 
 @dataclass(frozen=True)
@@ -131,15 +120,15 @@ class RauzyGraph:
         return "\n".join(lines)
 
 
-def build_graph(start: Perm3 = START) -> RauzyGraph:
-    """Enumerate orderings reachable from ``start`` under the step rules.
+def build_graph() -> RauzyGraph:
+    """Enumerate orderings reachable from ``START`` under the step rules.
 
     The hole outcome is modeled as a distinguished sink (every vertex can
     fall into it); it appears in exports but carries no outgoing arrows.
     """
-    seen: list[Perm3] = [start]
+    seen: list[Perm3] = [START]
     edges: list[Edge] = []
-    queue = [start]
+    queue = [START]
     while queue:
         state = queue.pop(0)
         for kind in KINDS:
@@ -289,10 +278,6 @@ class RauzyPath:
     @property
     def end(self) -> Perm3:
         return self.steps[-1].dst if self.steps else self.start
-
-    @property
-    def elementary_length(self) -> int:
-        return sum(st.n for st in self.steps)
 
     def winners(self) -> set[Letter]:
         return {st.winner for st in self.steps}

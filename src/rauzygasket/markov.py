@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ POINTS_MAGIC = b"RGPTS001"
 _CHAIN_BLOCK = 4096  # chaos-game chains per seed block; fixed so the
 # sample stream is independent of worker count
 _TILE = 64  # chaos-game output steps buffered before the chain-major copy
+_BURN_IN = 64  # chaos-game steps from the barycenter before output starts
 _RASTER_CHUNK = 1 << 20  # points counted per pass of rasterize
 
 
@@ -158,10 +159,10 @@ def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
     return MarkovCell(n=n, kind=SWAP if rem > c else CYC)
 
 
-def apply_T(p: ChartPoint, tol: float = BOUNDARY_TOL):
+def apply_T(p: ChartPoint):
     """One accelerated step: returns (image ChartPoint, MarkovCell), or
     HoleCell.  The image is re-sorted, so it is again a chart point."""
-    cell = cell_of(p, tol=tol)
+    cell = cell_of(p)
     if isinstance(cell, HoleCell):
         return cell
     n, kind = cell.n, cell.kind
@@ -171,9 +172,9 @@ def apply_T(p: ChartPoint, tol: float = BOUNDARY_TOL):
     return p.like(b / d, last / d).validate(), cell
 
 
-def jacobian(p: ChartPoint, tol: float = BOUNDARY_TOL) -> float:
+def jacobian(p: ChartPoint) -> float:
     """Expansion factor (n a - (n-1))^-3 of the branch through p."""
-    cell = cell_of(p, tol=tol)
+    cell = cell_of(p)
     if isinstance(cell, HoleCell):
         raise ValueError("no branch through a hole point")
     a = p.a if p.shadow is None else float(p.shadow[0])
@@ -249,9 +250,8 @@ def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def chaos_game(
     count: int,
-    burn_in: int = 64,
+    burn_in: int = _BURN_IN,
     seed: int = 0,
-    weights: Optional[Sequence[float]] = None,
     workers: int = 1,
 ) -> np.ndarray:
     """Random backward iteration of the three elementary gasket maps.
@@ -259,8 +259,8 @@ def chaos_game(
     Returns an (count, 2) array of (lambda1, lambda2) coordinates in the
     full (unsorted) simplex.  The stream is organized as fixed-size
     independent chains, each burned in from the barycenter and seeded as
-    (seed, chain).  One move sets the drawn coordinate to 1 and divides
-    all three by their sum.
+    (seed, chain).  One move sets a uniformly drawn coordinate to 1 and
+    divides all three by their sum.
 
     The draws are stored step-major, one byte each, so a step reads one
     contiguous row and advances three 1-D coordinate arrays.  Output
@@ -279,16 +279,10 @@ def chaos_game(
     per_chain = max(1, -(-count // _CHAIN_BLOCK))
     chains = -(-count // per_chain)
     steps = burn_in + per_chain
-    p = None if weights is None else np.asarray(weights, dtype=float)
-    if p is not None:
-        p = p / p.sum()
     draws = np.empty((chains, steps), dtype=np.uint8)
     for chain in range(chains):
         rng = np.random.default_rng((seed, chain))
-        if p is None:
-            draws[chain] = rng.integers(0, 3, size=steps)
-        else:
-            draws[chain] = rng.choice(3, size=steps, p=p)
+        draws[chain] = rng.integers(0, 3, size=steps)
     draws = np.ascontiguousarray(draws.T)
     # lam[i] is coordinate i of every chain; lam.flat[i * chains + j] is
     # coordinate i of chain j
@@ -315,13 +309,11 @@ def chaos_game(
     return out.reshape(chains * per_chain, 2)[:count]
 
 
-def chaos_game_exact(
-    count: int, burn_in: int = 64, seed: int = 0
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Exact-rational chaos game (single chain, same per-chain seeding as
-    chain 0 of the float path)."""
+def chaos_game_exact(count: int, seed: int = 0) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Exact-rational chaos game (single chain, same per-chain seeding and
+    default burn-in as chain 0 of the float path)."""
     rng = np.random.default_rng((seed, 0))
-    draws = rng.integers(0, 3, size=burn_in + count)
+    draws = rng.integers(0, 3, size=_BURN_IN + count)
     lam = [Fraction(1, 3)] * 3
     points = []
     for step, w in enumerate(draws):
@@ -329,7 +321,7 @@ def chaos_game_exact(
         lam[int(w)] = Fraction(1)
         total = sum(lam)
         lam = [x / total for x in lam]
-        if step >= burn_in:
+        if step >= _BURN_IN:
             points.append(tuple(lam))
     return points
 

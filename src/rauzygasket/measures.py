@@ -89,15 +89,14 @@ def path_probability(q: Sequence, path: RauzyPath) -> Fraction:
     return Fraction(num, den)
 
 
-def cylinder_measure(path: RauzyPath, q: Sequence = Q_ONES) -> Fraction:
+def cylinder_measure(path: RauzyPath) -> Fraction:
     """Exact chart mass of the path's cylinder, normalized so the sorted
-    start simplex has mass 1.  The per-arrow conditionals telescope, so
-    only the endpoint weights matter."""
-    q0 = tuple(Fraction(x) for x in q)
-    out = q0
+    start simplex has mass 1, for unit weights.  The per-arrow
+    conditionals telescope, so only the endpoint weights matter."""
+    out = Q_ONES
     for st in path.steps:
         out = dual_update(out, st.winner, st.n)
-    return cone_measure(out, path.end) / cone_measure(q0, path.start)
+    return cone_measure(out, path.end) / cone_measure(Q_ONES, path.start)
 
 
 # --- exact one-level decompositions ------------------------------------------
@@ -203,19 +202,15 @@ def kerckhoff_exact_probability(t: float) -> Fraction:
 
 def mc_kerckhoff(
     t: float,
-    q: Sequence[float] = (1.0, 1.0, 1.0),
     samples: int = 10**6,
     seed: int = 0,
     workers: int = 1,
 ) -> float:
     """Empirical frequency of 'some coordinate of B q grows past t times
-    its start' while a single winner persists, over Lebesgue-uniform
-    starts.  The bound to compare against is 1/t (per coordinate; with
-    unit weights the two loser coordinates coincide); below t = 1 the
-    bound is vacuous and the frequency just stays <= 1."""
-    qa = np.asarray(q, dtype=float)
-    if np.any(qa <= 0):
-        raise ValueError("weights must be positive")
+    its start' while a single winner persists, for unit weights q, over
+    Lebesgue-uniform starts.  The bound to compare against is 1/t (per
+    coordinate; with unit weights the two loser coordinates coincide);
+    below t = 1 the bound is vacuous and the frequency just stays <= 1."""
 
     def block(i: int, size: int) -> int:
         rng = np.random.default_rng((seed, _TAG_KERCKHOFF, i))
@@ -224,43 +219,41 @@ def mc_kerckhoff(
         n = _counter_batch(a, b, s)
         rem = a - n * s
         wins = np.where(rem > 0, n, n - 1)
-        # sorted draw: the winner letter carries weight qa[0]
-        loser = min(qa[1], qa[2])
-        ratio = 1.0 + wins * qa[0] / loser
+        # each win adds the winner's unit weight to both losers
+        ratio = 1.0 + wins
         return int(np.count_nonzero(ratio > t))
 
     hits = _run_blocks(block, _blocks(samples), workers)
     return sum(hits) / samples
 
 
+_BALANCE_MAX_STEPS = 64  # generalized steps before a path counts as unresolved
+
+
 def mc_balance(
     c_grid: Sequence[float],
     samples: int = 10**5,
     seed: int = 0,
-    q: Sequence[float] = (1.0, 1.0, 1.0),
     workers: int = 1,
-    max_steps: int = 64,
 ) -> list[dict]:
-    """For each C, the empirical probability that the weight vector is
-    still C-balanced, M(B q) < C min(m(B q), M(q)), at the completion
-    moment of the path (the first generalized step after which every
-    letter has won)."""
+    """For each C, the empirical probability that the weight vector,
+    started at unit weights q, is still C-balanced,
+    M(B q) < C min(m(B q), M(q)), at the completion moment of the path
+    (the first generalized step after which every letter has won)."""
     cs = [float(c) for c in c_grid]
     if any(c <= 1 for c in cs):
         raise ValueError("C values must exceed 1")
-    q0 = np.asarray(q, dtype=float)
-    mq0 = q0.max()
 
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_BALANCE, i))
         a, b = sample_sorted_simplex(rng, size)
         order = np.tile(np.arange(3), (size, 1))  # letter index at each rank
-        weights = np.tile(q0, (size, 1))
+        weights = np.ones((size, 3))
         won = np.zeros(size, dtype=np.int64)
         active = np.ones(size, dtype=bool)
         done_max = np.full(size, np.nan)
         done_min = np.full(size, np.nan)
-        for _ in range(max_steps):
+        for _ in range(_BALANCE_MAX_STEPS):
             if not active.any():
                 break
             idx = np.flatnonzero(active)
@@ -297,7 +290,7 @@ def mc_balance(
     unresolved = sum(p[2] for p in parts)
     out = []
     for c in cs:
-        hits = np.count_nonzero(mx < c * np.minimum(mn, mq0))
+        hits = np.count_nonzero(mx < c * np.minimum(mn, 1.0))
         out.append(
             {
                 "C": c,
@@ -522,11 +515,13 @@ class TailCurve:
     fit_t_max: Optional[float] = None  # largest threshold in the fit
 
     def to_json(self) -> dict:
+        # a fit that did not happen is NaN here and null in JSON
+        fitted = not math.isnan(self.fitted_exponent)
         return {
             "thresholds": self.thresholds,
             "probabilities": self.probabilities,
-            "fitted_exponent": self.fitted_exponent,
-            "fit_residual": self.fit_residual,
+            "fitted_exponent": self.fitted_exponent if fitted else None,
+            "fit_residual": self.fit_residual if fitted else None,
             "samples": self.samples,
             "no_return": self.no_return,
             "fit_points": self.fit_points,
@@ -543,16 +538,18 @@ class TailCurve:
         return "\n".join(lines)
 
 
+_MAX_DRAW_FACTOR = 200  # section points drawn per requested return, at most
+
+
 def return_roofs(
     loop: RauzyPath,
     samples: int,
     seed: int = 0,
     cap: int = 10**4,
     workers: int = 1,
-    max_draw_factor: int = 200,
 ) -> tuple[np.ndarray, int, int]:
     """Roof values of at least ``samples`` first returns, unless the cap
-    of ``samples * max_draw_factor`` drawn points (rounded up to whole
+    of ``samples * _MAX_DRAW_FACTOR`` drawn points (rounded up to whole
     rounds of blocks) comes first.
 
     Section points are drawn Lebesgue-uniformly in fixed-size blocks
@@ -623,7 +620,7 @@ def return_roofs(
     lost = 0
     got = 0
     i = 0
-    max_blocks = max(1, (samples * max_draw_factor) // _BLOCK + 1)
+    max_blocks = max(1, (samples * _MAX_DRAW_FACTOR) // _BLOCK + 1)
     while got < samples and i < max_blocks:
         batch = [(j, _BLOCK) for j in range(i, i + round_size)]
         for vals, dead in _run_blocks(block, batch, workers):
@@ -636,13 +633,16 @@ def return_roofs(
     return roofs, drawn, lost
 
 
-def _tail_fit(roofs: np.ndarray, draws: int, t_grid, min_count: int):
+_MIN_COUNT = 100  # returns a threshold needs to enter the tail fit
+
+
+def _tail_fit(roofs: np.ndarray, draws: int, t_grid):
     """``fit_tail`` with the thresholds that entered the fit in place of
     their number."""
     n = roofs.size
-    if t_grid is None and n > min_count:
+    if t_grid is None and n > _MIN_COUNT:
         srt = np.sort(roofs)
-        hi = float(srt[-min_count])
+        hi = float(srt[-_MIN_COUNT])
         lo = float("inf")
         for q in (0.99, 0.97, 0.9, 0.5):
             lo = float(np.quantile(srt, q))
@@ -660,7 +660,7 @@ def _tail_fit(roofs: np.ndarray, draws: int, t_grid, min_count: int):
         c = int(np.count_nonzero(roofs >= math.log(t)))
         counts.append(c)
         probs.append(c / draws if draws else 0.0)
-    usable = [(t, p) for t, p, c in zip(ts, probs, counts) if c >= min_count and p < 1.0]
+    usable = [(t, p) for t, p, c in zip(ts, probs, counts) if c >= _MIN_COUNT and p < 1.0]
     window = [t for t, _ in usable]
     if len(usable) < 2:
         return ts, probs, float("nan"), float("nan"), window
@@ -675,17 +675,16 @@ def fit_tail(
     roofs: np.ndarray,
     draws: int,
     t_grid: Optional[Sequence[float]] = None,
-    min_count: int = 100,
 ) -> tuple[list, list, float, float, int]:
     """Empirical tail P(r >= log T), normalized by section points drawn,
     and its log-log slope.
 
-    Only thresholds exceeded by at least ``min_count`` returns enter the
+    Only thresholds exceeded by at least ``_MIN_COUNT`` returns enter the
     fit (variance control).  The default grid spans the genuine tail:
     from the 99th percentile of the observed roofs (past any short-return
-    bulk) down to the ``min_count`` order statistic.
+    bulk) down to the ``_MIN_COUNT`` order statistic.
     """
-    ts, probs, exponent, resid, window = _tail_fit(roofs, draws, t_grid, min_count)
+    ts, probs, exponent, resid, window = _tail_fit(roofs, draws, t_grid)
     return ts, probs, exponent, resid, len(window)
 
 
@@ -700,7 +699,7 @@ def roof_tail(
 ) -> TailCurve:
     """Tail curve over at least ``samples`` first-return samples."""
     roofs, drawn, lost = return_roofs(loop, samples, seed=seed, cap=cap, workers=workers)
-    ts, probs, exponent, residual, window = _tail_fit(roofs, drawn, t_grid, 100)
+    ts, probs, exponent, residual, window = _tail_fit(roofs, drawn, t_grid)
     return TailCurve(
         thresholds=ts,
         probabilities=probs,

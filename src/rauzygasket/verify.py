@@ -28,10 +28,12 @@ from .markov import (
 from .measures import kerckhoff_exact_probability, mc_balance, mc_kerckhoff, roof
 
 DISTORTION_CONSTANT = 36.0
+_N_MAX = 100  # largest counter the expansion and distortion experiments sample
 
 
-def expansion_experiment(samples: int, seed: int, n_max: int = 100):
-    """Jacobian bounds (4/3)^3 < |DT| < (n+1)^3 on random non-hole points."""
+def expansion_experiment(samples: int, seed: int):
+    """Jacobian bounds (4/3)^3 < |DT| < (n+1)^3 on random non-hole points
+    with counter n <= _N_MAX."""
     rng = np.random.default_rng((seed, 11))
     checked = 0
     failures = 0
@@ -40,7 +42,7 @@ def expansion_experiment(samples: int, seed: int, n_max: int = 100):
     while checked < samples:
         a, b = sample_sorted_simplex(rng, 2 * samples)
         _, _, n, _, d, alive = accelerated_step_batch(a, b)
-        keep = alive & (n <= n_max)
+        keep = alive & (n <= _N_MAX)
         n = n[keep][: samples - checked]
         d = d[keep][: samples - checked]
         j = 1.0 / d**3
@@ -51,15 +53,15 @@ def expansion_experiment(samples: int, seed: int, n_max: int = 100):
     return {"checked": checked, "failures": failures, "worst_margin": worst}
 
 
-def distortion_experiment(samples: int, seed: int, n_max: int = 100):
+def distortion_experiment(samples: int, seed: int):
     """Worst observed margin of the distortion bound over same-cell pairs,
-    stratified over every counter n <= n_max and both endings."""
+    stratified over every counter n <= _N_MAX and both endings."""
     rng = np.random.default_rng((seed, 7))
-    per = max(1, samples // (2 * n_max))
+    per = max(1, samples // (2 * _N_MAX))
     worst_ratio = 0.0
     worst_cell = None
     pairs = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, _N_MAX + 1):
         for kind in (SWAP, CYC):
             ya, yb = sample_sorted_simplex(rng, 2 * per)
             pa, pb = branch_preimage(n, kind, ya, yb, 1.0 - ya - yb)

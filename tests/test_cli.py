@@ -87,6 +87,15 @@ def test_cylinders_jsonl(capsys):
     assert all(set(r) >= {"path", "measure", "survives"} for r in records)
 
 
+@pytest.mark.parametrize(
+    "budget", [("--depth", "0"), ("--ncap", "0"), ("--ncap", "-3")]
+)
+def test_cylinders_bad_budget_rejected_before_output(capsys, budget):
+    code, out = run_cli(capsys, "cylinders", *budget)
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_partition(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "partition")
     assert code == 0
@@ -149,6 +158,20 @@ def test_tail_json_echoes_seed(capsys):
     doc = json.loads(out)
     assert doc["provenance"]["seed"] == 9
     assert doc["fitted_exponent"] > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_tail_without_fit_is_strict_json(capsys):
+    # no return reaches these thresholds, so no fit is made
+    code, out = run_cli(capsys, "tail", "--samples", "500", "--t-grid", "1e9,1e10")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["fit_points"] == 0
+    assert doc["fitted_exponent"] is None
+    assert doc["fit_residual"] is None
 
 
 def test_tail_draw_cap_exits_budget(capsys):

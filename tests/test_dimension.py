@@ -18,9 +18,10 @@ from rauzygasket.dimension import (
     survivor_mass,
 )
 from rauzygasket.graph import START
+from rauzygasket.induction import STAY
 from rauzygasket.markov import chaos_game, sample_sorted_simplex
-from rauzygasket.measures import Q_ONES, path_probability, running_mass
-from rauzygasket.graph import path_from_blocks
+from rauzygasket.measures import Q_ONES, cylinder_measure, path_probability, running_mass
+from rauzygasket.graph import path_from_blocks, path_from_kinds
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -147,10 +148,18 @@ def test_delta_positive_and_stable():
     assert fit9.residual < 0.1
 
 
-def test_delta_zero_in_no_hole_mode():
-    fit = delta_estimate(6, assume_no_holes=True)
-    assert abs(fit.exponent) < 1e-12
-    assert all(abs(v) < 1e-9 for v in fit.values)
+def test_all_stay_cylinder_decays_like_inverse_square():
+    # the all-stay path survives every elementary step, so mu(X_n) is at
+    # least 6 / ((n + 2)(2n + 3)) and the elementary decay rate tends to 0
+    prev = F(0)
+    for k in range(6, 13):
+        n = 2**k
+        mass = cylinder_measure(path_from_kinds(START, [STAY] * n))
+        assert mass == F(6, (n + 2) * (2 * n + 3))
+        scaled = n * n * mass
+        assert prev < scaled < 3
+        assert 3 - scaled < F(11, n)
+        prev = scaled
 
 
 def test_delta_bracket_too_wide():

@@ -130,6 +130,14 @@ def _add_term(terms: list, num: int, den: int) -> None:
         terms[:] = [(total.numerator, total.denominator)]
 
 
+def _floor_of(measure_floor) -> Fraction:
+    """The measure floor as a Fraction; ValueError if it is negative."""
+    floor = Fraction(measure_floor)
+    if floor < 0:
+        raise ValueError(f"measure floor must be >= 0, got {floor}")
+    return floor
+
+
 # --- accelerated cylinder enumeration ----------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -145,9 +153,11 @@ class Cylinder:
     path: tuple[tuple[int, str], ...]
     num: int
     den: int
-    survives: bool
     kind: str
-    depth: int
+
+    @property
+    def survives(self) -> bool:
+        return self.kind == "branch"
 
     @property
     def measure(self) -> Fraction:
@@ -183,7 +193,7 @@ def enumerate_cylinders(
         raise ValueError("depth must be >= 1")
     if n_cap < 1:
         raise ValueError("n_cap must be >= 1")
-    floor = Fraction(measure_floor)
+    floor = _floor_of(measure_floor)
     fn, fd = floor.numerator, floor.denominator
     q0 = _integer_weights(q)
     d0 = cone_denominator(q0, start)
@@ -201,24 +211,19 @@ def enumerate_cylinders(
                 if d0 * fd < fn * den:
                     pruned.append((d0, den))  # stays inside this node's remainder
                 elif level + 1 == depth:
-                    yield Cylinder(child_path, d0, den, True, "branch", level + 1)
+                    yield Cylinder(child_path, d0, den, "branch")
                 else:
                     yield from walk(child_path, apply_kind(order, kind), qn, level + 1)
             num, den = _hole_fraction(d_before, d_after, d_swap, d_cyc)
             if num > 0 and num * d0 * fd >= fn * den:
-                yield Cylinder(prefix + ((n, "hole"),), num * d0, den, False, "hole", level + 1)
+                yield Cylinder(prefix + ((n, "hole"),), num * d0, den, "hole")
             else:
                 pruned.append((num * d0, den))
             d_before = d_after
         # still leading at the cap, plus everything pruned on the way
         rest = _exact_sum([(d0, d_before)] + pruned)
         yield Cylinder(
-            prefix + ((n_cap, "remainder"),),
-            rest.numerator,
-            rest.denominator,
-            False,
-            "remainder",
-            level + 1,
+            prefix + ((n_cap, "remainder"),), rest.numerator, rest.denominator, "remainder"
         )
 
     return walk((), tuple(start), q0, 0)
@@ -253,7 +258,7 @@ def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> Sur
     """
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
-    floor = Fraction(measure_floor)
+    floor = _floor_of(measure_floor)
     fn, fd = floor.numerator, floor.denominator
     d0 = cone_denominator(_UNIT_WEIGHTS, START)
     alive = [[] for _ in range(max_depth + 1)]

@@ -8,17 +8,18 @@ leading length keeps winning (counter n), then renormalizes and re-sorts:
     swap ending:  (a, b) -> (b / D, ((n+1) a - n) / D)
     cyc  ending:  (a, b) -> (b / D, c / D)
 
-Both branches have Jacobian determinant 1 / D^3.  Two arithmetic paths
-coexist: plain float (Monte Carlo, rendering) and an exact Fraction
-shadow used near cell boundaries and in differential tests against the
-interval-level induction.
+Both branches have Jacobian determinant 1 / D^3.  A chart point is in
+one arithmetic: float coordinates (Monte Carlo, rendering) or exact
+ones such as Fraction (cell boundaries, and differential tests against
+the interval-level induction).  The scalar map runs the same code on
+both; only the boundary test in ``cell_of`` and the roof differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -35,49 +36,39 @@ _RASTER_CHUNK = 1 << 20  # points counted per pass of rasterize
 
 
 class TieOnBoundary(Exception):
-    """Float point within tolerance of a cell boundary and no exact shadow
-    available to resolve it."""
+    """Point on a cell boundary: exactly, for an exact point, or within
+    the tolerance, for a float point, whose cell is then not trustworthy."""
 
 
 @dataclass(frozen=True)
 class ChartPoint:
-    a: float
-    b: float
-    shadow: Optional[tuple[Fraction, Fraction]] = None
+    """The chart point (a, b), c = 1 - a - b.  Both coordinates are floats
+    (numpy float64 included), or both are exact scalars such as Fraction;
+    every computation on the point stays in that arithmetic."""
+
+    a: Any
+    b: Any
 
     @property
-    def c(self) -> float:
-        return 1.0 - self.a - self.b
+    def c(self):
+        return 1 - self.a - self.b
 
     @staticmethod
     def from_fractions(a: Fraction, b: Fraction) -> "ChartPoint":
-        p = ChartPoint(a=float(a), b=float(b), shadow=(a, b))
-        p.validate()
-        return p
-
-    def exact(self) -> tuple[Fraction, Fraction, Fraction]:
-        if self.shadow is None:
-            raise ValueError("point has no exact shadow")
-        a, b = self.shadow
-        return a, b, 1 - a - b
+        return ChartPoint(a, b).validate()
 
     def coords(self) -> tuple:
-        """(a, b, c): exact when the point has a shadow, float otherwise."""
-        return self.exact() if self.shadow is not None else (self.a, self.b, self.c)
+        return self.a, self.b, self.c
 
-    def like(self, a, b) -> "ChartPoint":
-        """The point (a, b), exact iff this one is."""
-        if self.shadow is None:
-            return ChartPoint(a, b)
-        return ChartPoint(float(a), float(b), shadow=(a, b))
+    def exact(self) -> tuple:
+        """(a, b, c) of an exact point; ValueError for a float point."""
+        if isinstance(self.a, float):
+            raise ValueError(f"float chart point {self} has no exact coordinates")
+        return self.coords()
 
     def validate(self) -> "ChartPoint":
-        if self.shadow is not None:
-            a, b = self.shadow
-            c = 1 - a - b
-        else:
-            a, b, c = self.a, self.b, self.c
-        if not (a > b > c > 0):
+        a, b, c = self.coords()
+        if isinstance(a, float) != isinstance(b, float) or not (a > b > c > 0):
             raise ValueError(f"not a sorted interior chart point: {self}")
         return self
 
@@ -129,31 +120,17 @@ def _counter_batch(a, b, s):
 def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
     """Markov cell of a chart point, or HoleCell.
 
-    Exact boundary hits (rational shadow) raise TieOnBoundary; in the
-    float path, anything within ``tol`` of a boundary is rejected the same
-    way since the classification there is not trustworthy.
+    A point on a cell boundary raises TieOnBoundary: an exact point when
+    a margin is 0, a float point when a margin is below ``tol``, since its
+    classification there is not trustworthy.
     """
-    p.validate()
-    if p.shadow is not None:
-        a, b, c = p.exact()
-        s = 1 - a
-        n = _counter(a, b, s)
-        rem = a - n * s
-        if a - (n - 1) * s == b or rem == 0 or rem == b or rem == c:
-            raise TieOnBoundary(f"exact boundary point {p.shadow}")
-        if rem < 0:
-            return HoleCell(steps=n - 1)
-        return MarkovCell(n=n, kind=SWAP if rem > c else CYC)
-    a, b = p.a, p.b
-    s = 1.0 - a
-    c = s - b
+    a, b, c = p.validate().coords()
+    s = 1 - a
     n = _counter(a, b, s)
     rem = a - n * s
-    margins = (abs(rem), abs(rem - b), abs(rem - c), abs(a - (n - 1) * s - b))
-    if min(margins) < tol:
-        raise TieOnBoundary(
-            f"({a}, {b}) within {tol} of a cell boundary and no exact shadow"
-        )
+    margin = min(abs(rem), abs(rem - b), abs(rem - c), abs(a - (n - 1) * s - b))
+    if margin < tol if isinstance(a, float) else margin == 0:
+        raise TieOnBoundary(f"({a}, {b}) is on a cell boundary (tolerance {tol} for floats)")
     if rem < 0:
         return HoleCell(steps=n - 1)
     return MarkovCell(n=n, kind=SWAP if rem > c else CYC)
@@ -169,7 +146,7 @@ def apply_T(p: ChartPoint):
     a, b, c = p.coords()
     d = n * a - (n - 1)
     last = (n + 1) * a - n if kind == SWAP else c
-    return p.like(b / d, last / d).validate(), cell
+    return ChartPoint(b / d, last / d).validate(), cell
 
 
 def jacobian(p: ChartPoint) -> float:
@@ -177,8 +154,7 @@ def jacobian(p: ChartPoint) -> float:
     cell = cell_of(p)
     if isinstance(cell, HoleCell):
         raise ValueError("no branch through a hole point")
-    a = p.a if p.shadow is None else float(p.shadow[0])
-    d = cell.n * a - (cell.n - 1)
+    d = cell.n * float(p.a) - (cell.n - 1)
     return 1.0 / d**3
 
 
@@ -207,7 +183,7 @@ def inverse_branch(cell: MarkovCell, p: ChartPoint) -> ChartPoint:
     """The inverse of the branch labeled by ``cell``, defined on the whole
     chart simplex: projective action of the branch matrix."""
     p.validate()
-    return p.like(*branch_preimage(cell.n, cell.kind, *p.coords())).validate()
+    return ChartPoint(*branch_preimage(cell.n, cell.kind, *p.coords())).validate()
 
 
 # --- vectorized float dynamics (shared by the Monte Carlo modules) ----------

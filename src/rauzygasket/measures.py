@@ -352,9 +352,9 @@ def roof(point, path) -> float:
     blocks = _as_blocks(path)
     if not blocks:
         return 0.0
-    if point.shadow is not None:
-        return -math.log(roof_scale(point, blocks))
-    return -sum(map(math.log, _block_totals(*point.coords(), blocks)))
+    if isinstance(point.a, float):
+        return -sum(map(math.log, _block_totals(*point.coords(), blocks)))
+    return -math.log(roof_scale(point, blocks))
 
 
 # --- sections and first returns ------------------------------------------------
@@ -465,10 +465,7 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
             raise OutsideCylinder(f"orbit fell into a hole after {m - 1} steps")
         nxt, cell = out
         sym = (cell.n, cell.kind)
-        d = (cell.n * cur.a - (cell.n - 1)) if cur.shadow is None else float(
-            cell.n * cur.shadow[0] - (cell.n - 1)
-        )
-        cum -= math.log(d)
+        cum -= math.log(cell.n * cur.a - (cell.n - 1))
         consumed.append(sym)
         if m <= L and sym != tokens[m - 1]:
             raise OutsideCylinder(
@@ -549,8 +546,8 @@ def return_roofs(
     workers: int = 1,
 ) -> tuple[np.ndarray, int, int]:
     """Roof values of at least ``samples`` first returns, unless the cap
-    of ``samples * _MAX_DRAW_FACTOR`` drawn points (rounded up to whole
-    rounds of blocks) comes first.
+    of ``samples * _MAX_DRAW_FACTOR`` drawn points (rounded up to the next
+    whole block) comes first.
 
     Section points are drawn Lebesgue-uniformly in fixed-size blocks
     (block i seeded as (seed, tag, i)) until enough of them return or
@@ -622,7 +619,7 @@ def return_roofs(
     i = 0
     max_blocks = max(1, (samples * _MAX_DRAW_FACTOR) // _BLOCK + 1)
     while got < samples and i < max_blocks:
-        batch = [(j, _BLOCK) for j in range(i, i + round_size)]
+        batch = [(j, _BLOCK) for j in range(i, min(i + round_size, max_blocks))]
         for vals, dead in _run_blocks(block, batch, workers):
             collected.append(vals)
             got += vals.size
@@ -636,9 +633,17 @@ def return_roofs(
 _MIN_COUNT = 100  # returns a threshold needs to enter the tail fit
 
 
+def _check_grid(t_grid) -> None:
+    """ValueError naming the first threshold that is not finite and > 0."""
+    for t in () if t_grid is None else t_grid:
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"tail threshold {t} must be finite and > 0")
+
+
 def _tail_fit(roofs: np.ndarray, draws: int, t_grid):
     """``fit_tail`` with the thresholds that entered the fit in place of
     their number."""
+    _check_grid(t_grid)
     n = roofs.size
     if t_grid is None and n > _MIN_COUNT:
         srt = np.sort(roofs)
@@ -698,6 +703,7 @@ def roof_tail(
     loop_name: str = "",
 ) -> TailCurve:
     """Tail curve over at least ``samples`` first-return samples."""
+    _check_grid(t_grid)
     roofs, drawn, lost = return_roofs(loop, samples, seed=seed, cap=cap, workers=workers)
     ts, probs, exponent, residual, window = _tail_fit(roofs, drawn, t_grid)
     return TailCurve(

@@ -96,6 +96,16 @@ def test_cylinders_bad_budget_rejected_before_output(capsys, budget):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv", [("cylinders", "--depth", "1", "--ncap", "2"), ("dimension",)]
+)
+def test_negative_floor_rejected_before_output(capsys, caplog, argv):
+    code, out = run_cli(capsys, *argv, "--floor=-1/2")
+    assert code == 2
+    assert out == ""
+    assert "-1/2" in caplog.text
+
+
 def test_verify_partition(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "partition")
     assert code == 0
@@ -181,6 +191,19 @@ def test_tail_draw_cap_exits_budget(capsys):
     assert code == 3
     doc = json.loads(out)
     assert 0 < doc["samples"] < 2000
+
+
+def test_tail_bad_threshold_rejected_before_drawing(capsys, caplog, monkeypatch):
+    import rauzygasket.measures as measures
+
+    def never(*args, **kwargs):
+        raise AssertionError("a bad threshold must be rejected before drawing")
+
+    monkeypatch.setattr(measures, "sample_section", never)
+    for grid in ("-1,2", "0,2", "2,inf", "nan"):
+        code, out = run_cli(capsys, "tail", "--samples", "100", f"--t-grid={grid}")
+        assert code == 2 and out == ""
+    assert "threshold -1.0 " in caplog.text and "threshold nan " in caplog.text
 
 
 def test_seed_env_default(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 
 from rauzygasket.induction import AcceleratedStep, accelerated_step, make_system
 from rauzygasket.markov import (
+    BOUNDARY_TOL,
     ChartPoint,
     HoleCell,
     MarkovCell,
@@ -244,6 +246,55 @@ def test_batch_step_matches_scalar_cells():
         compared += 1
     assert compared > 0.99 * a.size
     assert n.max() > 10**11
+
+
+def _float_boundary_points(rng, count):
+    """Float chart points near the four margins of cell_of, at s = 1 - a
+    log-uniform in [1e-12, 0.45]: a within a few ulps of n / (n + 1)
+    (rem = 0), and b a few ulps or a few tolerances from the lines
+    b = a - k s (rem = b on one side, a - (n - 1) s = b on the other) and
+    b = (k + 1) s - a (rem = c)."""
+    points = []
+    for s0 in np.exp(rng.uniform(np.log(1e-12), np.log(0.45), count)):
+        n = max(1, round(1 / s0) - 1)
+        lead = n / (n + 1)
+        for j in range(-3, 4):
+            a = lead + j * math.ulp(lead)
+            points.append((a, 0.75 * (1.0 - a)))
+        a = 1.0 - s0
+        exact_a = F(a)
+        s = 1 - exact_a
+        k = int(exact_a / s)
+        for m in range(k - 2, k + 3):
+            for line in (exact_a - m * s, (m + 1) * s - exact_a):
+                if s / 2 < line < s:
+                    b = float(line)
+                    offsets = [j * math.ulp(b) for j in range(-3, 4)]
+                    offsets += [f * BOUNDARY_TOL for f in (-4, -1.5, -1.01, 1.01, 1.5, 4)]
+                    points += [(a, b + d) for d in offsets]
+    return points
+
+
+def test_float_cells_agree_with_exact_at_boundaries_and_deep_counters():
+    points = _float_boundary_points(np.random.default_rng(37), 600)
+    cells = []
+    for a, b in points:
+        try:
+            cell = cell_of(ChartPoint(a, b))
+        except (TieOnBoundary, ValueError):
+            continue
+        assert cell_of(ChartPoint(F(a), F(b))) == cell, (a, b)
+        cells.append((a, b, cell))
+    a, b, _ = (np.array(col) for col in zip(*cells))
+    _, _, n, kind, _, alive = accelerated_step_batch(a, b)
+    for i, (_, _, cell) in enumerate(cells):
+        if isinstance(cell, HoleCell):
+            assert not alive[i] and n[i] == cell.steps + 1
+        else:
+            assert alive[i] and n[i] == cell.n
+            assert kind[i] == (0 if cell.kind == "swap" else 1)
+    assert len(cells) > 0.5 * len(points)
+    assert np.count_nonzero(alive & (n > 10**9)) > 100
 
 
 def test_chart_matches_interval_induction():

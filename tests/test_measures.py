@@ -430,7 +430,7 @@ def test_first_return_from_double_loop_cylinder():
     assert [(st.n, st.kind) for st in record.path.steps] == blocks
     assert record.roof_value > 5 * math.log(9 / 8)  # five expanding blocks
     # return point: forward iteration over the recorded path
-    cur = ChartPoint(p.a, p.b)
+    cur = ChartPoint(float(p.a), float(p.b))
     for _ in range(len(record.path.steps)):
         cur, _ = apply_T(cur)
     assert abs(cur.a - record.return_point.a) < 1e-10
@@ -484,6 +484,20 @@ def test_return_roofs_deterministic_across_workers():
     r1, d1, l1 = return_roofs(loop, 3000, seed=21, workers=1)
     r2, d2, l2 = return_roofs(loop, 3000, seed=21, workers=8)
     assert np.array_equal(r1, r2) and d1 == d2 and l1 == l2
+
+
+def test_return_roofs_one_sample_draws_one_block():
+    r1, d1, l1 = return_roofs(loop_ccc(), 1, seed=21, workers=1)
+    r8, d8, l8 = return_roofs(loop_ccc(), 1, seed=21, workers=8)
+    assert d1 == 65536 and r1.size >= 1
+    assert np.array_equal(r1, r8) and (d1, l1) == (d8, l8)
+
+
+@pytest.mark.parametrize("grid", [[-1.0, 2.0], [2.0, 0.0], [math.inf], [math.nan, 2.0]])
+def test_fit_tail_rejects_bad_threshold(grid):
+    bad = next(t for t in grid if not (math.isfinite(t) and t > 0))
+    with pytest.raises(ValueError, match=f"threshold {bad} "):
+        fit_tail(np.ones(200), 1000, grid)
 
 
 def test_tail_curve_fields_and_monotonicity():

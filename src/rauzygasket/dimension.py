@@ -16,15 +16,30 @@ so -log mu(X_n) / n -> 0.  delta_hat is the least-squares slope of
 -log mu(X_n) over a finite window of depths, where that curve is still
 bending: it depends on the window and is not the limit rate.  The figure
 2 - min(delta_hat, alpha_1) inherits that window.
+
+The exact masses are integer ratios (see the integer mass calculus
+below).  ``survivor_sweep`` and ``fast_decay_estimate`` walk level by
+level: each level of nodes is one numpy array, expanded over all its
+nodes and counters in one broadcast, so their memory is that of the
+widest level (3^d nodes at elementary depth d with no floor; the sweep
+to depth 12 at floor 1/10^12 peaks at about 125 MB), not O(depth).
+``enumerate_cylinders`` streams its records depth first in O(depth)
+memory and runs the same block arithmetic one node at a time.  Each walk
+picks its array dtype once, from a bound on the weights it can reach:
+int64 when every denominator is below 2^53, where numpy's ``d0 / D`` is
+the correctly rounded quotient, as Python's int / int is; otherwise
+object arrays of Python ints.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,10 +49,12 @@ from .measures import (  # noqa: F401  (reference forms kept importable from her
     Q_ONES,
     block_child,
     cone_denominator,
-    dual_update,
     elementary_children,
     hole_mass_at,
 )
+
+
+log = logging.getLogger("rauzygasket")
 
 
 class BracketTooWide(Exception):
@@ -56,12 +73,16 @@ class NonPositiveInput(Exception):
 # --- integer mass calculus ----------------------------------------------------
 #
 # The weights q stay integer along any path from integer start weights, so
-# the chart mass of a node with end state (q, order) is D0 / D, where
-# D = cone_denominator(q, order) and D0 is the same at the start state.
-# Every mass below is an integer pair (numerator, denominator); a Fraction
-# is built only where an exact total is reported.
+# the chart mass of a node with end state (q, order) is d0 / D, where
+# D = cone_denominator(q, order) and d0 is the same at the start state.
+# A node is its weights listed in its ordering, leader first, so D is
+# w1 (w1 + w2) (w1 + w2 + w3) and a step permutes the weights as
+# ``apply_kind`` permutes the ordering.  The walks run one level at a time
+# on integer arrays; a Fraction is built only where an exact total is
+# reported.
 
 _UNIT_WEIGHTS = (1, 1, 1)  # the survivor sweep's start weights
+_FLOAT_EXACT = 1 << 53  # int64 values below this convert to float64 exactly
 
 
 def _integer_weights(q: Sequence) -> tuple[int, int, int]:
@@ -72,24 +93,89 @@ def _integer_weights(q: Sequence) -> tuple[int, int, int]:
     return tuple(int(f * scale) for f in fr)
 
 
-def _block_denominators(q: Sequence[int], order: Sequence[int], n: int):
-    """After n wins of the leader: the weights, and the mass denominators
-    of 'still leading', of the swap ending and of the cyc ending."""
-    qn = dual_update(q, order[0], n)
-    return (
-        qn,
-        cone_denominator(qn, order),
-        cone_denominator(qn, apply_kind(order, SWAP)),
-        cone_denominator(qn, apply_kind(order, CYC)),
+def _floor_of(measure_floor) -> Fraction:
+    """The measure floor as a Fraction; ValueError if it is negative."""
+    floor = Fraction(measure_floor)
+    if floor < 0:
+        raise ValueError(f"measure floor must be >= 0, got {floor}")
+    return floor
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """What a walk fixes before its first node."""
+
+    w0: tuple  # start weights, listed in the start ordering
+    d0: int  # D of the start state
+    dtype: object  # of the walk's integer arrays: int64, or object (Python ints)
+    cut: int  # a mass d0 / D is below the floor iff D > cut
+
+
+def _walk(q: Sequence, start, depth: int, n_cap: int, measure_floor) -> _Walk:
+    """The set-up of a walk of ``depth`` blocks with counters up to ``n_cap``.
+
+    A block adds at most n_cap times the largest weight to a weight, so after
+    ``depth`` blocks the weights are at most M = max(q0) (n_cap + 1)^depth
+    and every denominator D, and every hole denominator, is at most 6 M^3.
+    Below 2^53 the walk runs on int64, where ``d0 / D`` is numpy's correctly
+    rounded float division of exact values; above, on Python ints."""
+    if n_cap < 1:
+        raise ValueError("n_cap must be >= 1")
+    floor = _floor_of(measure_floor)
+    q0 = _integer_weights(q)
+    d0 = cone_denominator(q0, start)
+    d_max = 6 * (max(q0) * (n_cap + 1) ** depth) ** 3
+    # d0 / D < fn / fd  iff  D > d0 fd / fn  iff  D > (d0 fd) // fn
+    cut = d_max if floor == 0 else min(d0 * floor.denominator // floor.numerator, d_max)
+    dtype = np.int64 if d_max < _FLOAT_EXACT else object
+    return _Walk(w0=tuple(q0[p - 1] for p in start), d0=d0, dtype=dtype, cut=cut)
+
+
+class _Blocks(NamedTuple):
+    """The cells of K counters from a level of N nodes, each field N x K.
+    A cell's mass is d0 over its denominator."""
+
+    lead: np.ndarray  # the leader's weight, which its wins leave unchanged
+    second: np.ndarray  # the other two weights after n wins
+    third: np.ndarray
+    before: np.ndarray  # D of still leading after n - 1 wins
+    after: np.ndarray  # D of still leading after n wins
+    swap: np.ndarray  # D of the swap ending at n
+    cyc: np.ndarray  # D of the cyc ending at n
+    hole: np.ndarray  # denominator of dying at the n-th win
+
+    def weights(self, kind: str) -> np.ndarray:
+        """The end weights of each cell's child, in the child's ordering
+        (N x K x 3)."""
+        return np.stack(apply_kind((self.lead, self.second, self.third), kind), axis=-1)
+
+
+def _expand(w: np.ndarray, n: np.ndarray) -> _Blocks:
+    """The blocks of counters ``n`` (K) from nodes of weights ``w`` (N x 3),
+    in one broadcast.
+
+    After n wins of the leader l the others are a = w2 + n l and
+    b = w3 + n l.  Still leading, the swap ending and the cyc ending have
+    D = l (l + a) s, a (a + l) s and a (a + b) s with s = l + a + b; their
+    reciprocals add up to 1 / (l a (a + b)).  So the hole,
+    1/before - 1/after - 1/swap - 1/cyc, is 1 / (a (a + b - l) (a + b)):
+    positive, with a denominator at most 4 M^3 for weights at most M."""
+    lead = w[:, :1]
+    a = w[:, 1:2] + n * lead
+    b = w[:, 2:] + n * lead
+    ab = a + b
+    s = lead + ab
+    lead = np.broadcast_to(lead, a.shape)
+    return _Blocks(
+        lead=lead,
+        second=a,
+        third=b,
+        before=lead * a * (ab - lead),
+        after=lead * (lead + a) * s,
+        swap=a * (a + lead) * s,
+        cyc=a * ab * s,
+        hole=a * (ab - lead) * ab,
     )
-
-
-def _hole_fraction(d_before: int, d_after: int, d_swap: int, d_cyc: int) -> tuple[int, int]:
-    """1/d_before - 1/d_after - 1/d_swap - 1/d_cyc as an unreduced integer
-    pair: the mass, over the chart scale, of dying at one win."""
-    den = d_before * d_after * d_swap * d_cyc
-    num = d_after * d_swap * d_cyc - d_before * (d_swap * d_cyc + d_after * d_cyc + d_after * d_swap)
-    return num, den
 
 
 _DIGITS = 4000  # below the interpreter's default cap on int-to-str digits
@@ -109,33 +195,32 @@ def _ratio_text(x: Fraction) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
-def _exact_sum(terms) -> Fraction:
-    """Exact sum of (numerator, denominator) pairs over their common
-    multiple, with one reduction at the end."""
-    if not terms:
+def _exact_sum(nums, dens) -> Fraction:
+    """Exact sum of the terms nums[i] / dens[i] (dens > 0); ``nums`` may be
+    one numerator shared by every term.
+
+    Terms with equal denominators are merged first.  Then neighbours are
+    merged pairwise, level by level, over the least common multiple of
+    their denominators, so the long common denominators appear only in the
+    last few merges.  One reduction at the end."""
+    dens, inverse, counts = np.unique(np.asarray(dens), return_inverse=True, return_counts=True)
+    if dens.size == 0:
         return Fraction(0)
-    common = math.lcm(*{den for _, den in terms})
-    return Fraction(sum(num * (common // den) for num, den in terms), common)
-
-
-_FOLD_AT = 1 << 14
-
-
-def _add_term(terms: list, num: int, den: int) -> None:
-    """Append num / den to a list of terms, folding the list into one exact
-    term when it gets long, so a deep sweep keeps memory bounded."""
-    terms.append((num, den))
-    if len(terms) >= _FOLD_AT:
-        total = _exact_sum(terms)
-        terms[:] = [(total.numerator, total.denominator)]
-
-
-def _floor_of(measure_floor) -> Fraction:
-    """The measure floor as a Fraction; ValueError if it is negative."""
-    floor = Fraction(measure_floor)
-    if floor < 0:
-        raise ValueError(f"measure floor must be >= 0, got {floor}")
-    return floor
+    if np.ndim(nums) == 0:
+        nums = counts.astype(object) * nums
+    else:
+        grouped = np.zeros(dens.size, dtype=object)
+        np.add.at(grouped, inverse, np.asarray(nums, dtype=object))
+        nums = grouped
+    dens = dens.astype(object)
+    while dens.size > 1:
+        paired = dens.size - dens.size % 2
+        a, b = dens[0:paired:2], dens[1:paired:2]
+        g = np.gcd(a, b)
+        merged = nums[0:paired:2] * (b // g) + nums[1:paired:2] * (a // g)
+        nums = np.concatenate((merged, nums[paired:]))
+        dens = np.concatenate((a // g * b, dens[paired:]))
+    return Fraction(int(nums[0]), int(dens[0]))
 
 
 # --- accelerated cylinder enumeration ----------------------------------------
@@ -191,50 +276,52 @@ def enumerate_cylinders(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if n_cap < 1:
-        raise ValueError("n_cap must be >= 1")
-    floor = _floor_of(measure_floor)
-    fn, fd = floor.numerator, floor.denominator
-    q0 = _integer_weights(q)
-    d0 = cone_denominator(q0, start)
+    walk = _walk(q, start, depth, n_cap, measure_floor)
+    d0, cut = walk.d0, walk.cut
+    counters = np.arange(1, n_cap + 1).astype(walk.dtype)
 
-    def walk(prefix, order, weights, level):
-        # the node's mass is d0 / d_before; each counter n splits the part
-        # still leading after n - 1 wins into swap, cyc, hole and still
+    def visit(prefix, w, level):
+        # the node's mass is d0 / before at n = 1; each counter n splits the
+        # part still leading after n - 1 wins into swap, cyc, hole and still
         # leading after n wins
-        d_before = cone_denominator(weights, order)
+        blocks = _expand(np.array([w], dtype=walk.dtype), counters)
+        cells = zip(range(1, n_cap + 1), *(x[0].tolist() for x in blocks[1:]))
         pruned = []
-        for n in range(1, n_cap + 1):
-            qn, d_after, d_swap, d_cyc = _block_denominators(weights, order, n)
+        for n, a, b, d_before, d_after, d_swap, d_cyc, d_hole in cells:
             for kind, den in ((SWAP, d_swap), (CYC, d_cyc)):
                 child_path = prefix + ((n, kind),)
-                if d0 * fd < fn * den:
-                    pruned.append((d0, den))  # stays inside this node's remainder
+                if den > cut:
+                    pruned.append(den)  # stays inside this node's remainder
                 elif level + 1 == depth:
                     yield Cylinder(child_path, d0, den, "branch")
                 else:
-                    yield from walk(child_path, apply_kind(order, kind), qn, level + 1)
-            num, den = _hole_fraction(d_before, d_after, d_swap, d_cyc)
-            if num > 0 and num * d0 * fd >= fn * den:
-                yield Cylinder(prefix + ((n, "hole"),), num * d0, den, "hole")
+                    yield from visit(child_path, apply_kind((w[0], a, b), kind), level + 1)
+            if d_hole > cut:
+                pruned.append(d_hole)
             else:
-                pruned.append((num * d0, den))
-            d_before = d_after
-        # still leading at the cap, plus everything pruned on the way
-        rest = _exact_sum([(d0, d_before)] + pruned)
+                # the record holds the hole over the run's four denominators
+                den = d_before * d_after * d_swap * d_cyc
+                yield Cylinder(prefix + ((n, "hole"),), den // d_hole * d0, den, "hole")
+        pruned.append(d_after)  # still leading at the cap
+        rest = _exact_sum(d0, np.array(pruned, dtype=walk.dtype))
         yield Cylinder(
             prefix + ((n_cap, "remainder"),), rest.numerator, rest.denominator, "remainder"
         )
 
-    return walk((), tuple(start), q0, 0)
+    return visit((), walk.w0, 0)
 
 
 def depth_totals(depth: int, **kw) -> dict:
     """Exact mass accounting of one enumeration: by record kind."""
-    terms = {"branch": [], "hole": [], "remainder": []}
+    terms = {kind: ([], []) for kind in ("branch", "hole", "remainder")}
     for cyl in enumerate_cylinders(depth, **kw):
-        terms[cyl.kind].append((cyl.num, cyl.den))
-    sums = {kind: _exact_sum(t) for kind, t in terms.items()}
+        nums, dens = terms[cyl.kind]
+        nums.append(cyl.num)
+        dens.append(cyl.den)
+    sums = {
+        kind: _exact_sum(np.array(nums, dtype=object), np.array(dens, dtype=object))
+        for kind, (nums, dens) in terms.items()
+    }
     sums["total"] = sums["branch"] + sums["hole"] + sums["remainder"]
     return sums
 
@@ -250,7 +337,7 @@ class SurvivorSweep:
 def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> SurvivorSweep:
     """Exact brackets [lower, upper] for the mass surviving d elementary
     steps from the start ordering with unit weights, for every
-    d = 0..max_depth, from one depth-first sweep.
+    d = 0..max_depth, from one sweep that expands a whole level at a time.
 
     With floor 0 each bracket is a point.  A node below the floor is not
     expanded: it is dead in the lower bound and alive in the upper of
@@ -258,34 +345,27 @@ def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> Sur
     """
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
-    floor = _floor_of(measure_floor)
-    fn, fd = floor.numerator, floor.denominator
-    d0 = cone_denominator(_UNIT_WEIGHTS, START)
-    alive = [[] for _ in range(max_depth + 1)]
-    pruned = [[] for _ in range(max_depth + 1)]
-    nodes = 0
-
-    # a node's mass is d0 / d
-    stack = [(START, _UNIT_WEIGHTS, d0, 0)]
-    while stack:
-        order, weights, d, level = stack.pop()
-        nodes += 1
-        _add_term(alive[level], d0, d)
-        if level == max_depth:
-            continue
-        if d0 * fd < fn * d:
-            _add_term(pruned[level], d0, d)
-            continue
-        q1, d_stay, d_swap, d_cyc = _block_denominators(weights, order, 1)
-        for kind, dn in ((STAY, d_stay), (SWAP, d_swap), (CYC, d_cyc)):
-            stack.append((apply_kind(order, kind), q1, dn, level + 1))
-
+    walk = _walk(_UNIT_WEIGHTS, START, max_depth, 1, measure_floor)
+    one = np.ones(1, dtype=walk.dtype)
+    # one level of nodes: weights w, masses d0 / d
+    w = np.array([walk.w0], dtype=walk.dtype)
+    d = np.array([walk.d0], dtype=walk.dtype)
     brackets = []
+    nodes = 0
     unresolved = Fraction(0)
     for level in range(max_depth + 1):
-        lo = _exact_sum(alive[level])
+        nodes += d.size
+        lo = _exact_sum(walk.d0, d)
         brackets.append((lo, lo + unresolved))
-        unresolved += _exact_sum(pruned[level])
+        if level == max_depth:
+            break
+        kept = d <= walk.cut
+        unresolved += _exact_sum(walk.d0, d[~kept])
+        # one win of the leader: STAY is still leading after it
+        blocks = _expand(w[kept], one)
+        if level + 1 < max_depth:  # the deepest level is summed, not expanded
+            w = np.concatenate([blocks.weights(kind).reshape(-1, 3) for kind in (STAY, SWAP, CYC)])
+        d = np.concatenate([blocks.after.ravel(), blocks.swap.ravel(), blocks.cyc.ravel()])
     return SurvivorSweep(brackets=brackets, nodes=nodes)
 
 
@@ -397,20 +477,26 @@ def fast_decay_estimate(
     and the enumerated S differ by less than that), and to S at most half
     of the total so the saturation plateau stays out of the fit.
     """
-    masses = []
-    remainders = []
-    for cyl in enumerate_cylinders(depth, measure_floor=measure_floor, n_cap=n_cap):
-        if cyl.kind == "branch":
-            # int / int is correctly rounded, so this is float(cyl.measure)
-            masses.append(cyl.num / cyl.den)
-        elif cyl.kind == "remainder":
-            remainders.append((cyl.num, cyl.den))
-    if not masses:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    walk = _walk(Q_ONES, START, depth, n_cap, measure_floor)
+    counters = np.arange(1, n_cap + 1).astype(walk.dtype)
+    w = np.array([walk.w0], dtype=walk.dtype)
+    rest = []  # denominators D of the remainder's terms d0 / D
+    for level in range(depth):
+        blocks = _expand(w, counters)
+        ends = ((SWAP, blocks.swap), (CYC, blocks.cyc))
+        rest += [blocks.after[:, -1], blocks.hole[blocks.hole > walk.cut]]
+        rest += [den[den > walk.cut] for _, den in ends]
+        if level + 1 < depth:
+            w = np.concatenate([blocks.weights(kind)[den <= walk.cut] for kind, den in ends])
+    branches = np.concatenate([den[den <= walk.cut] for _, den in ends])
+    if not branches.size:
         raise ValueError("no cylinders enumerated; raise the budgets")
-    masses.sort()
-    values = np.asarray(masses)
+    # int / int is correctly rounded, on int64 and on Python ints alike
+    values = np.sort((walk.d0 / branches).astype(float))
     cum = np.cumsum(values)
-    remainder = _exact_sum(remainders)
+    remainder = _exact_sum(walk.d0, np.concatenate(rest))
     rem = float(remainder)
 
     def s_of(e: float) -> float:
@@ -439,7 +525,7 @@ def fast_decay_estimate(
         eps=eps,
         small_mass=s_vals,
         depth=depth,
-        enumerated=len(masses),
+        enumerated=int(branches.size),
         remainder=rem,
         remainder_exact=remainder,
     )
@@ -603,22 +689,35 @@ def dimension_report(
     workers: int = 1,
 ) -> DimensionReport:
     """Run the full pipeline: delta, alpha_1, the 2 - min bound, and an
-    independent box-counting estimate on a chaos-game cloud."""
+    independent box-counting estimate on a chaos-game cloud.
+
+    As each stage ends, its wall time and counters go to the
+    ``rauzygasket`` logger at DEBUG as one JSON line."""
     from .markov import chaos_game
 
     timings = {}
+    counters = {}
 
     def timed(stage, fn, *args, **kw):
         t0 = time.perf_counter()
         out = fn(*args, **kw)
-        timings[stage] = time.perf_counter() - t0
+        timings[f"{stage}_s"] = time.perf_counter() - t0
         return out
 
-    delta = timed("delta_s", delta_estimate, delta_depth, measure_floor=measure_floor)
-    alpha = timed("alpha1_s", fast_decay_estimate, alpha_depth, n_cap=n_cap,
+    def done(stage, **found):
+        counters.update(found)
+        log.debug("%s", json.dumps({"stage": stage, "wall_s": timings[f"{stage}_s"], **found}))
+
+    delta = timed("delta", delta_estimate, delta_depth, measure_floor=measure_floor)
+    done("delta", survivor_nodes=delta.nodes, delta_relative_widths=delta.widths)
+    alpha = timed("alpha1", fast_decay_estimate, alpha_depth, n_cap=n_cap,
                   measure_floor=measure_floor)
-    cloud = timed("chaos_game_s", chaos_game, points, seed=seed, workers=workers)
-    box = timed("box_counting_s", box_counting, cloud, _BOX_GRID)
+    done("alpha1", cylinders_enumerated=alpha.enumerated,
+         alpha1_remainder=_ratio_text(alpha.remainder_exact))
+    cloud = timed("chaos_game", chaos_game, points, seed=seed, workers=workers)
+    done("chaos_game")
+    box = timed("box_counting", box_counting, cloud, _BOX_GRID)
+    done("box_counting")
     bound = ad_bound(delta.exponent, alpha.exponent)
     return DimensionReport(
         delta_hat=delta.exponent,
@@ -632,12 +731,7 @@ def dimension_report(
                      "n_cap": n_cap, "measure_floor": str(measure_floor)},
         samples_used={"cloud_points": points},
         seeds={"cloud": seed},
-        counters={
-            "survivor_nodes": delta.nodes,
-            "delta_relative_widths": delta.widths,
-            "cylinders_enumerated": alpha.enumerated,
-            "alpha1_remainder": _ratio_text(alpha.remainder_exact),
-        },
+        counters=counters,
         timings=timings,
         notes=(
             "delta is a finite-window slope: the all-stay path survives every "

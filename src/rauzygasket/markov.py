@@ -8,11 +8,14 @@ leading length keeps winning (counter n), then renormalizes and re-sorts:
     swap ending:  (a, b) -> (b / D, ((n+1) a - n) / D)
     cyc  ending:  (a, b) -> (b / D, c / D)
 
-Both branches have Jacobian determinant 1 / D^3.  A chart point is in
-one arithmetic: float coordinates (Monte Carlo, rendering) or exact
-ones such as Fraction (cell boundaries, and differential tests against
-the interval-level induction).  The scalar map runs the same code on
-both; only the boundary test in ``cell_of`` and the roof differ.
+Both branches have Jacobian determinant 1 / D^3.  D and (n+1) a - n are
+computed as a - (n - 1) s and a - n s with s = 1 - a, which is exact in
+floats for a >= 1/2; the form n a - (n - 1) would cancel about log10(n)
+digits.  A chart point is in one arithmetic: float coordinates (Monte
+Carlo, rendering) or exact ones such as Fraction (cell boundaries, and
+differential tests against the interval-level induction).  The scalar
+map runs the same code on both; only the boundary test in ``cell_of``
+and the roof differ.
 """
 
 from __future__ import annotations
@@ -144,18 +147,20 @@ def apply_T(p: ChartPoint):
         return cell
     n, kind = cell.n, cell.kind
     a, b, c = p.coords()
-    d = n * a - (n - 1)
-    last = (n + 1) * a - n if kind == SWAP else c
+    s = 1 - a
+    d = a - (n - 1) * s
+    last = a - n * s if kind == SWAP else c
     return ChartPoint(b / d, last / d).validate(), cell
 
 
 def jacobian(p: ChartPoint) -> float:
-    """Expansion factor (n a - (n-1))^-3 of the branch through p."""
+    """Expansion factor D^-3 of the branch through p.  For an exact point
+    D is exact and the factor is rounded once."""
     cell = cell_of(p)
     if isinstance(cell, HoleCell):
         raise ValueError("no branch through a hole point")
-    d = cell.n * float(p.a) - (cell.n - 1)
-    return 1.0 / d**3
+    d = p.a - (cell.n - 1) * (1 - p.a)
+    return float(1 / d**3)
 
 
 def cell_vertices(n: int) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -465,7 +465,7 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
             raise OutsideCylinder(f"orbit fell into a hole after {m - 1} steps")
         nxt, cell = out
         sym = (cell.n, cell.kind)
-        cum -= math.log(cell.n * cur.a - (cell.n - 1))
+        cum -= math.log(cur.a - (cell.n - 1) * (1 - cur.a))
         consumed.append(sym)
         if m <= L and sym != tokens[m - 1]:
             raise OutsideCylinder(

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rauzygasket
 from rauzygasket.cli import main
 
 
@@ -342,3 +346,33 @@ def test_distortion_command(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert doc["worst_distortion_ratio"] <= 36.0
+
+
+def test_verbose_dimension_logs_one_json_line_per_stage():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rauzygasket.__file__)))
+    script = "import sys; from rauzygasket.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["dimension", "--depth", "4", "--acc-depth", "1", "--ncap", "16", "--points", "20000"]
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-c", script, *flags, *argv], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+
+    quiet, loud = run(), run("-v")
+    lines = [json.loads(line[len("DEBUG "):]) for line in loud.stderr.splitlines()
+             if line.startswith("DEBUG {")]
+    assert [line["stage"] for line in lines] == ["delta", "alpha1", "chaos_game", "box_counting"]
+    assert "DEBUG" not in quiet.stderr
+    report = json.loads(loud.stdout)
+    counters = {}
+    for line in lines:
+        assert line.pop("wall_s") == report["timings"][line.pop("stage") + "_s"]
+        counters.update(line)
+    assert counters == report["counters"]
+    # stdout differs only in the timings and the recorded flag
+    expected = json.loads(quiet.stdout)
+    for doc in (report, expected):
+        doc.pop("timings")
+        doc["provenance"]["flags"].pop("verbose")
+    assert report == expected

@@ -210,6 +210,23 @@ def test_exact_and_float_agree_away_from_boundaries():
         assert abs(i1.a - i2.a) < 1e-12 and abs(i1.b - i2.b) < 1e-12
 
 
+@pytest.mark.parametrize("n", [10**6, 10**9])
+def test_deep_counter_total_does_not_cancel(n):
+    # the preimage of (0.55, 0.3) under the branch (n, cyc)
+    exact_p = inverse_branch(MarkovCell(n, "cyc"), ChartPoint(F(55, 100), F(3, 10)))
+    d = n * exact_p.a - (n - 1)
+    assert jacobian(exact_p) == float(1 / d**3)
+    # a float point takes the same steps as the vectorized map
+    float_p = ChartPoint(float(exact_p.a), float(exact_p.b))
+    img, cell = apply_T(float_p)
+    a2, b2, n2, _, d2, alive = accelerated_step_batch(np.array([float_p.a]), np.array([float_p.b]))
+    assert alive[0] and n2[0] == cell.n
+    assert (img.a, img.b) == (a2[0], b2[0])
+    assert jacobian(float_p) == 1.0 / d2[0] ** 3
+    d_float_p = cell.n * F(float_p.a) - (cell.n - 1)
+    assert jacobian(float_p) == pytest.approx(float(1 / d_float_p**3), rel=1e-6)
+
+
 def test_batch_step_matches_scalar_cells():
     rng = np.random.default_rng(31)
     a, b = sample_sorted_simplex(rng, 10**4)

@@ -7,19 +7,23 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rauzygasket import dimension
 from rauzygasket.dimension import (
-    _block_denominators,
-    _hole_fraction,
+    _exact_sum,
+    _expand,
     _ratio_text,
+    _walk,
     box_counting,
     delta_estimate,
     depth_totals,
     dimension_report,
     enumerate_cylinders,
+    fast_decay_estimate,
     survivor_mass,
+    survivor_sweep,
 )
 from rauzygasket.graph import START, apply_kind, path_from_blocks
 from rauzygasket.induction import CYC, SWAP
@@ -40,14 +44,23 @@ WEIGHTS = st.tuples(*[st.integers(1, 10**6)] * 3)
 
 # --- closed forms ------------------------------------------------------------------
 
+def _cells(w, n):
+    """The cells of counter n from one node of weights w, on Python ints."""
+    return _expand(np.array([w], dtype=object), np.array([n], dtype=object))
+
+
 @settings(max_examples=200, deadline=None)
 @given(start=ORDERINGS, blocks=BLOCKS)
 def test_end_state_denominator_is_cylinder_measure(start, blocks):
-    q, order = (1, 1, 1), start
+    w, order = (1, 1, 1), start  # w lists the weights in the ordering
     for n, kind in blocks:
-        q, _, d_swap, d_cyc = _block_denominators(q, order, n)
-        den = d_swap if kind == SWAP else d_cyc
+        cells = _cells(w, n)
+        den = (cells.swap if kind == SWAP else cells.cyc)[0, 0]
+        w = tuple(cells.weights(kind)[0, 0])
         order = apply_kind(order, kind)
+    q = [0, 0, 0]
+    for letter, weight in zip(order, w):
+        q[letter - 1] = weight
     assert den == cone_denominator(q, order)
     assert F(6, den) == cylinder_measure(path_from_blocks(start, blocks))
 
@@ -56,13 +69,16 @@ def test_end_state_denominator_is_cylinder_measure(start, blocks):
 @given(q=WEIGHTS, order=ORDERINGS, k=st.integers(1, 10**6))
 def test_hole_and_cap_terms_match_reference_forms(q, order, k):
     d_node = cone_denominator(q, order)
-    d_before = _block_denominators(q, order, k - 1)[1]
-    _, d_after, d_swap, d_cyc = _block_denominators(q, order, k)
-    num, den = _hole_fraction(d_before, d_after, d_swap, d_cyc)
-    assert F(num * d_node, den) == hole_mass_at(q, order, k)
-    assert F(d_node, d_after) == running_mass(q, order, k)
-    assert F(d_node, d_swap) == block_child(q, order, k, SWAP)[0]
-    assert F(d_node, d_cyc) == block_child(q, order, k, CYC)[0]
+    cells = _cells([q[p - 1] for p in order], k)
+    before, after, swap, cyc, hole = (
+        x[0, 0] for x in (cells.before, cells.after, cells.swap, cells.cyc, cells.hole)
+    )
+    assert F(1, before) - F(1, after) - F(1, swap) - F(1, cyc) == F(1, hole)
+    assert F(d_node, hole) == hole_mass_at(q, order, k)
+    assert F(d_node, before) == running_mass(q, order, k - 1)
+    assert F(d_node, after) == running_mass(q, order, k)
+    assert F(d_node, swap) == block_child(q, order, k, SWAP)[0]
+    assert F(d_node, cyc) == block_child(q, order, k, CYC)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,6 +165,67 @@ def test_survivor_brackets_with_floor_match_brute_force():
     brackets = [survivor_mass(d, measure_floor=floor) for d in range(7)]
     assert brackets == [_brute_bracket(d, floor) for d in range(7)]
     assert brackets[6][0] < brackets[6][1]  # the floor does prune by depth 6
+
+
+# --- exact sums and the two walk dtypes -------------------------------------------------
+
+HUGE = 10**4300 + 7  # a factor that puts denominators past 4,300 digits
+DENOMINATORS = st.one_of(
+    st.integers(1, 10**6),
+    st.integers(1, 10**3).map(lambda d: d * HUGE),
+    st.integers(10**4300, 10**4301),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.lists(st.tuples(st.integers(0, 10**9), DENOMINATORS), max_size=40),
+    repeat=st.integers(1, 3),
+)
+@example(terms=[], repeat=1)
+@example(terms=[(5, 12)], repeat=1)
+@example(terms=[(1, 6), (1, 6), (2, 6)], repeat=2)
+def test_pairwise_exact_sum_matches_fraction_sum(terms, repeat):
+    terms = terms * repeat
+    nums = np.array([n for n, _ in terms], dtype=object)
+    dens = np.array([d for _, d in terms], dtype=object)
+    assert _exact_sum(nums, dens) == sum((F(n, d) for n, d in terms), F(0))
+    shared = 7 * sum((F(1, d) for _, d in terms), F(0))
+    assert _exact_sum(7, dens) == shared
+    if all(d < 2**53 for d in dens):  # the walks' int64 denominators
+        assert _exact_sum(7, dens.astype(np.int64)) == shared
+
+
+def _walk_outputs():
+    sweep = survivor_sweep(8)
+    floored = survivor_sweep(8, measure_floor=F(1, 10**4))
+    fit = fast_decay_estimate(2, n_cap=48)
+    records = [(c.path, c.num, c.den, c.kind) for c in enumerate_cylinders(2, n_cap=8)]
+    return sweep, floored, fit, records
+
+
+def test_object_dtype_walks_match_int64(monkeypatch):
+    assert _walk((1, 1, 1), START, 8, 1, 0).dtype is np.int64
+    want = _walk_outputs()
+    monkeypatch.setattr(dimension, "_FLOAT_EXACT", 0)
+    assert _walk((1, 1, 1), START, 8, 1, 0).dtype is object
+    got = _walk_outputs()
+    assert repr(got) == repr(want)
+
+
+# 1/26180 is the mass of the branch ((1, cyc), (20, swap)), kept at that floor
+@pytest.mark.parametrize("n_cap, floor", [(48, F(0)), (24, F(1, 10**6)), (24, F(1, 26180))])
+def test_fast_decay_matches_cylinder_records(n_cap, floor):
+    records = list(enumerate_cylinders(2, n_cap=n_cap, measure_floor=floor))
+    masses = np.sort([c.num / c.den for c in records if c.kind == "branch"])
+    fit = fast_decay_estimate(2, eps_grid=masses, n_cap=n_cap, measure_floor=floor)
+    assert fit.enumerated == masses.size
+    # S(eps) at every branch mass pins the sorted masses
+    cum = np.cumsum(masses)
+    last = np.searchsorted(masses, fit.eps, side="right") - 1
+    assert fit.small_mass == [float(cum[i]) for i in last]
+    rest = [F(c.num, c.den) for c in records if c.kind == "remainder"]
+    assert fit.remainder_exact == sum(rest, F(0))
 
 
 # --- box counting ----------------------------------------------------------------------

@@ -19,10 +19,13 @@ bending: it depends on the window and is not the limit rate.  The figure
 
 The exact masses are integer ratios (see the integer mass calculus
 below).  ``survivor_sweep`` and ``fast_decay_estimate`` walk level by
-level: each level of nodes is one numpy array, expanded over all its
-nodes and counters in one broadcast, so their memory is that of the
-widest level (3^d nodes at elementary depth d with no floor; the sweep
-to depth 12 at floor 1/10^12 peaks at about 125 MB), not O(depth).
+level: a level of nodes is expanded over all its nodes and counters in
+one numpy broadcast.  ``fast_decay_estimate`` holds a whole level, so its
+memory is that of the widest level.  ``survivor_sweep`` expands a level
+in chunks of a fixed node count, depth first, so its memory grows
+linearly in depth (at floor 1/10^12, 64 MB of peak RSS at depth 13 and
+72 MB at depth 14, where whole levels of 3^d nodes took 321 MB at depth
+13).
 ``enumerate_cylinders`` streams its records depth first in O(depth)
 memory and runs the same block arithmetic one node at a time.  Each walk
 picks its array dtype once, from a bound on the weights it can reach:
@@ -334,38 +337,66 @@ class SurvivorSweep:
     nodes: int  # elementary nodes visited
 
 
+_SWEEP_CHUNK = 3**10  # nodes the survivor sweep expands at once; a depth-10
+# sweep has at most this many on a level, so it takes one chunk per level
+
+
 def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> SurvivorSweep:
     """Exact brackets [lower, upper] for the mass surviving d elementary
     steps from the start ordering with unit weights, for every
-    d = 0..max_depth, from one sweep that expands a whole level at a time.
+    d = 0..max_depth, from one sweep.
 
     With floor 0 each bracket is a point.  A node below the floor is not
     expanded: it is dead in the lower bound and alive in the upper of
     every deeper bracket.
+
+    The sweep expands up to ``_SWEEP_CHUNK`` nodes of a level in one
+    broadcast, and goes depth first over these chunks: the children of a
+    chunk are all summed and expanded before the next chunk of its level.
+    Each level's exact mass is the sum of its chunks' partial sums.  So at
+    most about four chunks per level are held at once, and memory grows
+    linearly in depth where whole levels would grow 3x per depth.
     """
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
     walk = _walk(_UNIT_WEIGHTS, START, max_depth, 1, measure_floor)
     one = np.ones(1, dtype=walk.dtype)
-    # one level of nodes: weights w, masses d0 / d
-    w = np.array([walk.w0], dtype=walk.dtype)
-    d = np.array([walk.d0], dtype=walk.dtype)
-    brackets = []
+    # pending[level] lists chunks of that level's nodes not yet summed, one
+    # row per node: the weights then the denominator D (mass d0 / D); the
+    # deepest level is summed, not expanded, so its rows are D alone
+    pending = [[] for _ in range(max_depth + 1)]
+    pending[0].append(np.array([(*walk.w0, walk.d0)], dtype=walk.dtype))
+    mass = [Fraction(0)] * (max_depth + 1)
+    pruned = [Fraction(0)] * (max_depth + 1)  # below the floor, not expanded
     nodes = 0
-    unresolved = Fraction(0)
-    for level in range(max_depth + 1):
+    level = 0
+    while level >= 0:
+        if not pending[level]:
+            level -= 1
+            continue
+        chunk = pending[level].pop()
+        d = chunk[:, -1]
         nodes += d.size
-        lo = _exact_sum(walk.d0, d)
-        brackets.append((lo, lo + unresolved))
+        mass[level] += _exact_sum(walk.d0, d)
         if level == max_depth:
-            break
+            continue
         kept = d <= walk.cut
-        unresolved += _exact_sum(walk.d0, d[~kept])
+        pruned[level] += _exact_sum(walk.d0, d[~kept])
         # one win of the leader: STAY is still leading after it
-        blocks = _expand(w[kept], one)
-        if level + 1 < max_depth:  # the deepest level is summed, not expanded
-            w = np.concatenate([blocks.weights(kind).reshape(-1, 3) for kind in (STAY, SWAP, CYC)])
+        blocks = _expand(chunk[kept, :3], one)
         d = np.concatenate([blocks.after.ravel(), blocks.swap.ravel(), blocks.cyc.ravel()])
+        level += 1
+        if level < max_depth:
+            rows = np.column_stack((np.concatenate(
+                [blocks.weights(kind).reshape(-1, 3) for kind in (STAY, SWAP, CYC)]), d))
+        else:
+            rows = d[:, None]
+        pending[level] = [rows[i:i + _SWEEP_CHUNK] for i in range(0, len(rows), _SWEEP_CHUNK)]
+    brackets = []
+    unresolved = Fraction(0)
+    for lo, cut_off in zip(mass, pruned):
+        brackets.append((lo, lo + unresolved))
+        unresolved += cut_off
     return SurvivorSweep(brackets=brackets, nodes=nodes)
 
 

@@ -206,25 +206,34 @@ def accelerated_step_batch(a, b):
     n = _counter_batch(a, b, s)
     rem = a - n * s
     alive = rem > 0
-    kind = np.where(rem > c, 0, 1)
+    kind = (rem <= c).astype(np.int64)
     d = a - (n - 1) * s
     with np.errstate(divide="ignore", invalid="ignore"):
         a2 = b / d
-        b2 = np.where(kind == 0, rem, c) / d
+        b2 = np.maximum(rem, c) / d  # the swap ending keeps rem, the cyc ending c
     return a2, b2, n, kind, d, alive
 
 
 def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Lebesgue-uniform samples of the sorted chart simplex.
 
-    Two sorted uniforms give a uniform point of the full simplex; sorting
-    the three coordinates folds it onto the chart.
+    Two sorted uniforms lo <= hi give the uniform point
+    (lo, hi - lo, 1 - hi) of the full simplex; sorting its three
+    coordinates folds it onto the chart.  Both sorts are min/max selection
+    networks: the largest coordinate is max(x0, x1, x2) and the middle one
+    max(min(x0, x1), min(max(x0, x1), x2)).  They only select among floats
+    already computed, so the output is the same bits as sorting the rows,
+    ties included.
     """
     u = rng.random((count, 2))
-    u.sort(axis=1)
-    x = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1)
-    x.sort(axis=1)
-    return x[:, 2], x[:, 1]
+    lo = np.minimum(u[:, 0], u[:, 1])
+    hi = np.maximum(u[:, 0], u[:, 1])
+    x1 = hi - lo
+    x2 = 1.0 - hi
+    big = np.maximum(lo, x1)
+    a = np.maximum(big, x2)
+    b = np.maximum(np.minimum(lo, x1), np.minimum(big, x2))
+    return a, b
 
 
 # --- the gasket as an attractor ---------------------------------------------

@@ -21,7 +21,10 @@ be confused:
 
 from __future__ import annotations
 
+import json
+import logging
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,6 +53,8 @@ from .markov import (
 Q_ONES: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(1), Fraction(1))
 
 _KIND_CODE = {SWAP: 0, CYC: 1}
+
+log = logging.getLogger("rauzygasket")
 
 
 class OutsideCylinder(Exception):
@@ -410,8 +415,8 @@ def sample_section(loop: RauzyPath, rng, count: int) -> tuple[np.ndarray, np.nda
     u = rng.random(count)
     v = rng.random(count)
     flip = u + v > 1
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
+    np.subtract(1.0, u, out=u, where=flip)
+    np.subtract(1.0, v, out=v, where=flip)
     a = x1 + u * (x2 - x1) + v * (x3 - x1)
     b = y1 + u * (y2 - y1) + v * (y3 - y1)
     return a, b
@@ -442,6 +447,31 @@ def _prefix_function(tokens: list) -> list[int]:
     return fail
 
 
+def _loop_automaton(tokens: list):
+    """The matcher of the loop's blocks in an itinerary, as tables.
+
+    A block is of class j + 1 if it is ``symbols[j]``, the j-th distinct
+    block of the loop, and of class 0 if the loop has no such block.  The
+    state k < L is the length of the longest prefix of the loop that ends
+    the blocks read so far.  Reading a block of class x in state k,
+    ``hit[k, x]`` says the whole loop now ends them, and ``nxt[k, x]`` is
+    the next state, the loop's longest proper border after a hit."""
+    L = len(tokens)
+    fail = _prefix_function(tokens)
+    symbols = tuple(dict.fromkeys(tokens))
+    nxt = np.zeros((L, len(symbols) + 1), dtype=np.int64)
+    hit = np.zeros(nxt.shape, dtype=bool)
+    for k in range(L):
+        for x, sym in enumerate((None,) + symbols):
+            state = k
+            while state > 0 and sym != tokens[state]:
+                state = fail[state]
+            state = state + 1 if sym == tokens[state] else 0
+            hit[k, x] = state == L
+            nxt[k, x] = fail[L] if state == L else state
+    return symbols, nxt, hit
+
+
 def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
     """First genuine return of the point's orbit to the loop's cylinder.
 
@@ -453,7 +483,7 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
     validate_loop(loop)
     tokens = _as_blocks(loop)
     L = len(tokens)
-    fail = _prefix_function(tokens)
+    symbols, nxt, hit = _loop_automaton(tokens)
     state = 0
     consumed: list[tuple[int, str]] = []
     trail: list[tuple[ChartPoint, float]] = [(point, 0.0)]  # post-step points, cumulative roof
@@ -463,7 +493,7 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
         out = apply_T(cur)
         if not isinstance(out, tuple):
             raise OutsideCylinder(f"orbit fell into a hole after {m - 1} steps")
-        nxt, cell = out
+        image, cell = out
         sym = (cell.n, cell.kind)
         cum -= math.log(cur.a - (cell.n - 1) * (1 - cur.a))
         consumed.append(sym)
@@ -472,23 +502,18 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
                 f"point is not in the loop cylinder: step {m} is {sym}, "
                 f"expected {tokens[m - 1]}"
             )
-        while state > 0 and sym != tokens[state]:
-            state = fail[state]
-        if sym == tokens[state]:
-            state += 1
-        if state == L:
-            r = m - L
-            if r >= 1:
-                ret_point, ret_cum = trail[r]
-                path = path_from_blocks(loop.start, consumed[:r])
-                return ReturnRecord(
-                    start=point,
-                    path=path,
-                    return_point=ret_point,
-                    roof_value=ret_cum,
-                )
-            state = fail[state]
-        cur = nxt
+        x = symbols.index(sym) + 1 if sym in symbols else 0
+        if hit[state, x] and m - L >= 1:
+            ret_point, ret_cum = trail[m - L]
+            path = path_from_blocks(loop.start, consumed[:m - L])
+            return ReturnRecord(
+                start=point,
+                path=path,
+                return_point=ret_point,
+                roof_value=ret_cum,
+            )
+        state = nxt[state, x]
+        cur = image
         trail.append((cur, cum))
         if m - L >= cap:
             break
@@ -535,6 +560,56 @@ class TailCurve:
         return "\n".join(lines)
 
 
+def _first_returns(a, b, tokens: list, cap: int):
+    """``first_return`` of every section point (a, b) of the loop with
+    blocks ``tokens``, one accelerated step of all of them at a time.
+
+    Returns (index, roofs, lost): the index into (a, b) of each point that
+    returns within ``cap`` steps past the loop, and its roof, in the order
+    of return (by step, then by index); and the number of points lost to
+    holes or to the cap.  Each step runs the loop matcher on every point,
+    dead ones included, then compacts the arrays once, on
+    ``alive & ~returned``.  A dead point still has D >= b > 0, so its
+    -log D is finite junk that the compaction drops.
+    """
+    L = len(tokens)
+    symbols, nxt, hit = _loop_automaton(tokens)
+    width = nxt.shape[1]
+    nxt, hit = nxt.ravel(), hit.ravel()
+    index = np.arange(a.size)
+    state = np.zeros(a.size, dtype=np.int64)
+    cum = np.zeros(a.size)
+    ring = np.zeros((L, a.size))  # the last L roof increments
+    found_index = []
+    found_roofs = []
+    lost = 0
+    m = 0
+    while a.size:
+        m += 1
+        a, b, n, kind, d, alive = accelerated_step_batch(a, b)
+        inc = -np.log(d)
+        cum = cum + inc
+        ring[(m - 1) % L] = inc
+        at = state * width  # flat index of (state, class) in the tables
+        for x, (sym_n, sym_kind) in enumerate(symbols, start=1):
+            at += x * ((n == sym_n) & (kind == _KIND_CODE[sym_kind]))
+        ret = hit[at] & alive & (m - L >= 1)
+        state = nxt[at]
+        if ret.any():
+            found_index.append(index[ret])
+            found_roofs.append(cum[ret] - ring[:, ret].sum(axis=0))
+        keep = alive & ~ret
+        lost += int(np.count_nonzero(~alive))
+        if m - L >= cap:
+            lost += int(np.count_nonzero(keep))
+            break
+        a, b, index, state, cum = (v.compress(keep) for v in (a, b, index, state, cum))
+        ring = ring.compress(keep, axis=1)
+    if not found_roofs:
+        return np.empty(0, dtype=np.int64), np.empty(0), lost
+    return np.concatenate(found_index), np.concatenate(found_roofs), lost
+
+
 _MAX_DRAW_FACTOR = 200  # section points drawn per requested return, at most
 
 
@@ -557,56 +632,18 @@ def return_roofs(
     points lost to holes or the depth cap); fewer than ``samples`` roof
     values means the draw cap stopped the run.  Bit-identical for any
     worker count.
+
+    Each block runs ``_first_returns``, which compacts its arrays once per
+    accelerated step.  As each round of blocks ends, the totals so far
+    (``drawn``, ``returns``, ``lost``) and the round's wall time go to the
+    ``rauzygasket`` logger at DEBUG as one JSON line.
     """
     validate_loop(loop)
     tokens = _as_blocks(loop)
-    L = len(tokens)
-    fail = np.asarray(_prefix_function(tokens), dtype=np.int64)
-    loop_n = np.asarray([n for n, _ in tokens], dtype=np.int64)
-    loop_k = np.asarray([_KIND_CODE[k] for _, k in tokens], dtype=np.int64)
 
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_TAIL, i))
-        a, b = sample_section(loop, rng, size)
-        state = np.zeros(size, dtype=np.int64)
-        cum = np.zeros(size)
-        ring = np.zeros((L, size))
-        collected = []
-        lost = 0
-        m = 0
-        while a.size:
-            m += 1
-            a2, b2, n, kind, d, alive = accelerated_step_batch(a, b)
-            if not alive.all():
-                lost += int(np.count_nonzero(~alive))
-                a, b = a[alive], b[alive]
-                a2, b2 = a2[alive], b2[alive]
-                n, kind, d = n[alive], kind[alive], d[alive]
-                state, cum, ring = state[alive], cum[alive], ring[:, alive]
-            if not a.size:
-                break
-            inc = -np.log(d)
-            cum = cum + inc
-            ring[(m - 1) % L] = inc
-            for _ in range(L + 1):
-                match = (n == loop_n[state]) & (kind == loop_k[state])
-                fall = (~match) & (state > 0)
-                if not fall.any():
-                    break
-                state = np.where(fall, fail[state], state)
-            state = np.where(match, state + 1, 0)
-            hit = state == L
-            ret = hit & (m - L >= 1)
-            if ret.any():
-                collected.append(cum[ret] - ring[:, ret].sum(axis=0))
-            state = np.where(hit & ~ret, fail[L], state)
-            keep = ~ret
-            if m - L >= cap:
-                lost += int(np.count_nonzero(keep))
-                break
-            a, b = a2[keep], b2[keep]
-            state, cum, ring = state[keep], cum[keep], ring[:, keep]
-        vals = np.concatenate(collected) if collected else np.empty(0)
+        _, vals, lost = _first_returns(*sample_section(loop, rng, size), tokens, cap)
         return vals, lost
 
     # blocks are consumed in fixed-size rounds so the set of blocks (and
@@ -619,12 +656,16 @@ def return_roofs(
     i = 0
     max_blocks = max(1, (samples * _MAX_DRAW_FACTOR) // _BLOCK + 1)
     while got < samples and i < max_blocks:
+        t0 = time.perf_counter()
         batch = [(j, _BLOCK) for j in range(i, min(i + round_size, max_blocks))]
         for vals, dead in _run_blocks(block, batch, workers):
             collected.append(vals)
             got += vals.size
             lost += dead
             drawn += _BLOCK
+        log.debug("%s", json.dumps({"stage": "draw", "round": i // round_size, "drawn": drawn,
+                                    "returns": got, "lost": lost,
+                                    "wall_s": time.perf_counter() - t0}))
         i += round_size
     roofs = np.concatenate(collected) if collected else np.empty(0)
     return roofs, drawn, lost
@@ -702,10 +743,17 @@ def roof_tail(
     workers: int = 1,
     loop_name: str = "",
 ) -> TailCurve:
-    """Tail curve over at least ``samples`` first-return samples."""
+    """Tail curve over at least ``samples`` first-return samples.
+
+    ``return_roofs`` logs each draw round; the fit logs its window and
+    wall time as one more JSON line at DEBUG."""
     _check_grid(t_grid)
     roofs, drawn, lost = return_roofs(loop, samples, seed=seed, cap=cap, workers=workers)
+    t0 = time.perf_counter()
     ts, probs, exponent, residual, window = _tail_fit(roofs, drawn, t_grid)
+    fit_t_min, fit_t_max = min(window, default=None), max(window, default=None)
+    log.debug("%s", json.dumps({"stage": "fit", "fit_points": len(window), "fit_t_min": fit_t_min,
+                                "fit_t_max": fit_t_max, "wall_s": time.perf_counter() - t0}))
     return TailCurve(
         thresholds=ts,
         probabilities=probs,
@@ -716,6 +764,6 @@ def roof_tail(
         fit_points=len(window),
         loop=loop_name,
         drawn=drawn,
-        fit_t_min=min(window, default=None),
-        fit_t_max=max(window, default=None),
+        fit_t_min=fit_t_min,
+        fit_t_max=fit_t_max,
     )

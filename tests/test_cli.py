@@ -348,18 +348,20 @@ def test_distortion_command(capsys):
     assert doc["worst_distortion_ratio"] <= 36.0
 
 
-def test_verbose_dimension_logs_one_json_line_per_stage():
+def run_cli_process(*argv):
+    """The CLI in a child process, so its logging set-up is its own."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rauzygasket.__file__)))
     script = "import sys; from rauzygasket.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_verbose_dimension_logs_one_json_line_per_stage():
     argv = ["dimension", "--depth", "4", "--acc-depth", "1", "--ncap", "16", "--points", "20000"]
-
-    def run(*flags):
-        return subprocess.run(
-            [sys.executable, "-c", script, *flags, *argv], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": src},
-        )
-
-    quiet, loud = run(), run("-v")
+    quiet, loud = run_cli_process(*argv), run_cli_process("-v", *argv)
+    assert quiet.returncode == loud.returncode == 0
     lines = [json.loads(line[len("DEBUG "):]) for line in loud.stderr.splitlines()
              if line.startswith("DEBUG {")]
     assert [line["stage"] for line in lines] == ["delta", "alpha1", "chaos_game", "box_counting"]
@@ -374,5 +376,32 @@ def test_verbose_dimension_logs_one_json_line_per_stage():
     expected = json.loads(quiet.stdout)
     for doc in (report, expected):
         doc.pop("timings")
+        doc["provenance"]["flags"].pop("verbose")
+    assert report == expected
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["tail", "--samples", "20000", "--workers", "2", "--seed", "4"], 0),
+    (["tail", "--loop", "cccss", "--samples", "300"], 3),  # stops at the draw cap
+])
+def test_verbose_tail_logs_one_json_line_per_round_and_fit(argv, code):
+    quiet, loud = run_cli_process(*argv), run_cli_process("-v", *argv)
+    assert quiet.returncode == loud.returncode == code
+    assert "DEBUG" not in quiet.stderr
+    lines = [json.loads(line[len("DEBUG "):]) for line in loud.stderr.splitlines()
+             if not line.startswith("ERROR draw cap reached")]
+    *rounds, fit = lines
+    assert [line.pop("stage") for line in lines] == ["draw"] * len(rounds) + ["fit"]
+    assert [line["round"] for line in rounds] == list(range(len(rounds)))
+    assert all(line["wall_s"] >= 0 for line in lines)
+    report = json.loads(loud.stdout)
+    last = rounds[-1]
+    assert (last["drawn"], last["returns"], last["lost"]) == (
+        report["drawn"], report["samples"], report["no_return"])
+    assert {k: fit[k] for k in ("fit_points", "fit_t_min", "fit_t_max")} == {
+        k: report[k] for k in ("fit_points", "fit_t_min", "fit_t_max")}
+    # stdout differs only in the recorded flag
+    expected = json.loads(quiet.stdout)
+    for doc in (report, expected):
         doc["provenance"]["flags"].pop("verbose")
     assert report == expected

@@ -265,6 +265,58 @@ def test_batch_step_matches_scalar_cells():
     assert n.max() > 10**11
 
 
+def test_batch_step_images_match_apply_T_bit_for_bit():
+    a, b = sample_sorted_simplex(np.random.default_rng(33), 4000)
+    a2, b2, _, _, _, alive = accelerated_step_batch(a, b)
+    compared = 0
+    for i in np.flatnonzero(alive):
+        try:
+            image, _ = apply_T(ChartPoint(float(a[i]), float(b[i])))
+        except (TieOnBoundary, ValueError):
+            continue
+        assert (a2[i], b2[i]) == (image.a, image.b)
+        compared += 1
+    assert compared > 0.99 * np.count_nonzero(alive) > 0
+
+
+class _FixedRows:
+    """Stands in for a numpy Generator whose ``random`` returns these rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+def _sorted_simplex_by_sorting(u):
+    """The chart sample as two row sorts: the reference for the selection
+    network of ``sample_sorted_simplex``."""
+    u = np.sort(u, axis=1)
+    x = np.sort(np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1), axis=1)
+    return x[:, 2], x[:, 1]
+
+
+def test_sorted_simplex_selection_network_matches_sorting():
+    blocks = [np.random.default_rng(seed).random((4096, 2)) for seed in range(8)]
+    # rows with ties u0 == u1, zeros, and two equal coordinates of x, in
+    # every position: (0.25, 0.5) gives x = (0.25, 0.25, 0.5), (0.25, 0.75)
+    # gives (0.25, 0.5, 0.25), (0.5, 0.75) gives (0.5, 0.25, 0.25)
+    hand = [(0.3, 0.3), (0.0, 0.0), (0.0, 0.7), (0.7, 0.0), (0.0, 1 - 2**-53),
+            (0.25, 0.5), (0.5, 0.25), (0.25, 0.75), (0.75, 0.25), (0.5, 0.75),
+            (0.75, 0.5), (0.5, 0.5), (1 / 3, 2 / 3), (2 / 3, 1 / 3), (0.0, 0.5)]
+    grid = np.random.default_rng(9).integers(0, 9, (4096, 2)) / 8.0  # ties galore
+    for u in blocks + [np.array(hand), grid]:
+        a, b = sample_sorted_simplex(_FixedRows(u), len(u))
+        ref_a, ref_b = _sorted_simplex_by_sorting(u)
+        assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+    for seed in range(4):  # and through a real generator
+        a, b = sample_sorted_simplex(np.random.default_rng(seed), 5000)
+        ref_a, ref_b = _sorted_simplex_by_sorting(np.random.default_rng(seed).random((5000, 2)))
+        assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+
+
 def _float_boundary_points(rng, count):
     """Float chart points near the four margins of cell_of, at s = 1 - a
     log-uniform in [1e-12, 0.45]: a within a few ulps of n / (n + 1)

@@ -167,6 +167,18 @@ def test_survivor_brackets_with_floor_match_brute_force():
     assert brackets[6][0] < brackets[6][1]  # the floor does prune by depth 6
 
 
+@pytest.mark.parametrize("floor", [F(0), F(1, 10**4), F(1, 10**12)])
+def test_chunked_sweep_matches_one_chunk_per_level(monkeypatch, floor):
+    want = survivor_sweep(8, floor)
+    assert want.nodes <= (3**9 - 1) // 2 < dimension._SWEEP_CHUNK
+    # 7 nodes per chunk splits every level past the first into partial
+    # sums, and leaves short chunks where the floor prunes
+    monkeypatch.setattr(dimension, "_SWEEP_CHUNK", 7)
+    got = survivor_sweep(8, floor)
+    assert (got.brackets, got.nodes) == (want.brackets, want.nodes)
+    assert got.brackets[:7] == [_brute_bracket(d, floor) for d in range(7)]
+
+
 # --- exact sums and the two walk dtypes -------------------------------------------------
 
 HUGE = 10**4300 + 7  # a factor that puts denominators past 4,300 digits

@@ -13,11 +13,13 @@ from rauzygasket.graph import (
     path_from_blocks,
     path_from_kinds,
 )
+from rauzygasket.induction import CYC
 from rauzygasket.markov import (
     ChartPoint,
     MarkovCell,
     accelerated_step_batch,
     apply_T,
+    branch_preimage,
     inverse_branch,
     sample_sorted_simplex,
 )
@@ -27,6 +29,9 @@ from rauzygasket.measures import (
     OutsideCylinder,
     Q_ONES,
     ReturnRecord,
+    _as_blocks,
+    _first_returns,
+    _loop_automaton,
     block_child,
     cylinder_measure,
     dual_update,
@@ -475,6 +480,68 @@ def test_roof_value_bounded_below_by_block_count():
             returned += 1
             assert out.roof_value >= len(out.path.steps) * math.log(4 / 3)
     assert returned > 0
+
+
+@pytest.mark.parametrize("loop", [loop_ccc(), loop_cccss()], ids=["ccc", "cccss"])
+def test_loop_automaton_hits_every_occurrence_of_the_loop(loop):
+    tokens = _as_blocks(loop)
+    symbols, nxt, hit = _loop_automaton(tokens)
+    rng = random.Random(3)
+    for _ in range(200):
+        # itineraries over the loop's blocks and one block foreign to it
+        seq = [rng.choice(symbols + ((7, CYC),)) for _ in range(rng.randrange(1, 30))]
+        state = 0
+        for m, sym in enumerate(seq, start=1):
+            x = symbols.index(sym) + 1 if sym in symbols else 0
+            assert hit[state, x] == (seq[max(0, m - len(tokens)):m] == tokens)
+            state = nxt[state, x]
+
+
+def test_first_return_of_ccc_can_be_one_block():
+    # ccc overlaps its shifts: a point of the cylinder of four cyc blocks
+    # is back in the ccc cylinder after one block
+    p = ChartPoint.from_fractions(F(51, 100), F(8, 25))
+    for _ in range(4):
+        p = inverse_branch(MarkovCell(n=1, kind=CYC), p)
+    record = first_return(p, loop_ccc())
+    assert [(st.n, st.kind) for st in record.path.steps] == [(1, CYC)]
+    index, roofs, lost = _first_returns(np.array([float(p.a)]), np.array([float(p.b)]),
+                                        _as_blocks(loop_ccc()), 10)
+    assert index.tolist() == [0] and lost == 0
+    assert roofs[0] == pytest.approx(record.roof_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", [2, 40])
+@pytest.mark.parametrize("loop", [loop_ccc(), loop_cccss()], ids=["ccc", "cccss"])
+def test_vectorized_first_returns_match_scalar_first_return(loop, cap):
+    rng = np.random.default_rng(17)
+    blocks = _as_blocks(loop)
+    a, b = sample_section(loop, rng, 2000)
+    # plus points of the loop-twice cylinder, whose first return is at
+    # most one loop long
+    x, y = sample_sorted_simplex(rng, 500)
+    for n, kind in reversed(blocks * 2):
+        x, y = branch_preimage(n, kind, x, y, 1.0 - x - y)
+    a, b = np.concatenate([a, x]), np.concatenate([b, y])
+    index, roofs, lost = _first_returns(a, b, blocks, cap)
+    assert index.size + lost == a.size and np.unique(index).size == index.size
+    returned = dict(zip(index.tolist(), roofs.tolist()))
+    if cap >= len(blocks):
+        assert set(range(2000, 2500)) <= set(returned)
+    outcomes = {ReturnRecord: 0, NoReturn: 0, OutsideCylinder: 0}
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        try:
+            out = first_return(ChartPoint(x, y), loop, cap=cap)
+        except OutsideCylinder as exc:
+            out = exc
+        outcomes[type(out)] += 1
+        if i in returned:
+            assert isinstance(out, ReturnRecord), i
+            assert out.roof_value == pytest.approx(returned[i], rel=1e-12, abs=0)
+        else:
+            assert isinstance(out, (NoReturn, OutsideCylinder)), i
+    assert outcomes[OutsideCylinder] > 0
+    assert outcomes[ReturnRecord if cap >= len(blocks) else NoReturn] > 0
 
 
 # --- tails -------------------------------------------------------------------------------------

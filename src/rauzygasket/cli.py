@@ -288,12 +288,10 @@ def cmd_verify(args) -> int:
 
 # --- parser --------------------------------------------------------------------------
 
-def _add_common(p, seed=True, workers=True):
-    if seed:
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: RAUZY_SEED env var or 0)")
-    if workers:
-        p.add_argument("--workers", type=int, default=1)
+def _add_common(p):
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: RAUZY_SEED env var or 0)")
+    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -141,7 +141,6 @@ class _Blocks(NamedTuple):
     lead: np.ndarray  # the leader's weight, which its wins leave unchanged
     second: np.ndarray  # the other two weights after n wins
     third: np.ndarray
-    before: np.ndarray  # D of still leading after n - 1 wins
     after: np.ndarray  # D of still leading after n wins
     swap: np.ndarray  # D of the swap ending at n
     cyc: np.ndarray  # D of the cyc ending at n
@@ -160,9 +159,10 @@ def _expand(w: np.ndarray, n: np.ndarray) -> _Blocks:
     After n wins of the leader l the others are a = w2 + n l and
     b = w3 + n l.  Still leading, the swap ending and the cyc ending have
     D = l (l + a) s, a (a + l) s and a (a + b) s with s = l + a + b; their
-    reciprocals add up to 1 / (l a (a + b)).  So the hole,
-    1/before - 1/after - 1/swap - 1/cyc, is 1 / (a (a + b - l) (a + b)):
-    positive, with a denominator at most 4 M^3 for weights at most M."""
+    reciprocals add up to 1 / (l a (a + b)), and still leading after n - 1
+    wins has D = l a (a + b - l), the node's own D at n = 1.  So the hole,
+    the difference, is 1 / (a (a + b - l) (a + b)): positive, with a
+    denominator at most 4 M^3 for weights at most M."""
     lead = w[:, :1]
     a = w[:, 1:2] + n * lead
     b = w[:, 2:] + n * lead
@@ -173,7 +173,6 @@ def _expand(w: np.ndarray, n: np.ndarray) -> _Blocks:
         lead=lead,
         second=a,
         third=b,
-        before=lead * a * (ab - lead),
         after=lead * (lead + a) * s,
         swap=a * (a + lead) * s,
         cyc=a * ab * s,
@@ -284,13 +283,13 @@ def enumerate_cylinders(
     counters = np.arange(1, n_cap + 1).astype(walk.dtype)
 
     def visit(prefix, w, level):
-        # the node's mass is d0 / before at n = 1; each counter n splits the
-        # part still leading after n - 1 wins into swap, cyc, hole and still
-        # leading after n wins
+        # each counter n splits the part still leading after n - 1 wins (the
+        # whole node at n = 1) into swap, cyc, hole and still leading after
+        # n wins
         blocks = _expand(np.array([w], dtype=walk.dtype), counters)
         cells = zip(range(1, n_cap + 1), *(x[0].tolist() for x in blocks[1:]))
         pruned = []
-        for n, a, b, d_before, d_after, d_swap, d_cyc, d_hole in cells:
+        for n, a, b, d_after, d_swap, d_cyc, d_hole in cells:
             for kind, den in ((SWAP, d_swap), (CYC, d_cyc)):
                 child_path = prefix + ((n, kind),)
                 if den > cut:
@@ -302,9 +301,7 @@ def enumerate_cylinders(
             if d_hole > cut:
                 pruned.append(d_hole)
             else:
-                # the record holds the hole over the run's four denominators
-                den = d_before * d_after * d_swap * d_cyc
-                yield Cylinder(prefix + ((n, "hole"),), den // d_hole * d0, den, "hole")
+                yield Cylinder(prefix + ((n, "hole"),), d0, d_hole, "hole")
         pruned.append(d_after)  # still leading at the cap
         rest = _exact_sum(d0, np.array(pruned, dtype=walk.dtype))
         yield Cylinder(

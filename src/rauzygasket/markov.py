@@ -13,9 +13,12 @@ computed as a - (n - 1) s and a - n s with s = 1 - a, which is exact in
 floats for a >= 1/2; the form n a - (n - 1) would cancel about log10(n)
 digits.  A chart point is in one arithmetic: float coordinates (Monte
 Carlo, rendering) or exact ones such as Fraction (cell boundaries, and
-differential tests against the interval-level induction).  The scalar
-map runs the same code on both; only the boundary test in ``cell_of``
-and the roof differ.
+differential tests against the interval-level induction).  One scalar
+step, ``_step``, runs the same code on both: the counter, the boundary
+test, the hole test, the kind, D and the image.  ``cell_of``, ``apply_T``
+and ``jacobian`` are views of it, and ``measures`` walks the roof and
+first returns through it; only the boundary test and the roof's
+summation tell the two arithmetics apart.
 """
 
 from __future__ import annotations
@@ -120,12 +123,15 @@ def _counter_batch(a, b, s):
     return n
 
 
-def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
-    """Markov cell of a chart point, or HoleCell.
+def _step(p: ChartPoint, tol: float = BOUNDARY_TOL):
+    """The accelerated step at p: (cell, D, image), or (HoleCell, None,
+    None) if the run dies.
 
     A point on a cell boundary raises TieOnBoundary: an exact point when
     a margin is 0, a float point when a margin is below ``tol``, since its
-    classification there is not trustworthy.
+    classification there is not trustworthy.  The image is (b / D,
+    max(rem, c) / D): the swap ending keeps rem, the cyc ending c.  It is
+    not validated here; ``apply_T`` validates it.
     """
     a, b, c = p.validate().coords()
     s = 1 - a
@@ -135,31 +141,33 @@ def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
     if margin < tol if isinstance(a, float) else margin == 0:
         raise TieOnBoundary(f"({a}, {b}) is on a cell boundary (tolerance {tol} for floats)")
     if rem < 0:
-        return HoleCell(steps=n - 1)
-    return MarkovCell(n=n, kind=SWAP if rem > c else CYC)
+        return HoleCell(steps=n - 1), None, None
+    d = a - (n - 1) * s
+    cell = MarkovCell(n=n, kind=SWAP if rem > c else CYC)
+    return cell, d, ChartPoint(b / d, max(rem, c) / d)
+
+
+def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
+    """Markov cell of a chart point, or HoleCell; TieOnBoundary on a cell
+    boundary (see ``_step``)."""
+    return _step(p, tol)[0]
 
 
 def apply_T(p: ChartPoint):
     """One accelerated step: returns (image ChartPoint, MarkovCell), or
     HoleCell.  The image is re-sorted, so it is again a chart point."""
-    cell = cell_of(p)
+    cell, _, image = _step(p)
     if isinstance(cell, HoleCell):
         return cell
-    n, kind = cell.n, cell.kind
-    a, b, c = p.coords()
-    s = 1 - a
-    d = a - (n - 1) * s
-    last = a - n * s if kind == SWAP else c
-    return ChartPoint(b / d, last / d).validate(), cell
+    return image.validate(), cell
 
 
 def jacobian(p: ChartPoint) -> float:
     """Expansion factor D^-3 of the branch through p.  For an exact point
     D is exact and the factor is rounded once."""
-    cell = cell_of(p)
+    cell, d, _ = _step(p)
     if isinstance(cell, HoleCell):
         raise ValueError("no branch through a hole point")
-    d = p.a - (cell.n - 1) * (1 - p.a)
     return float(1 / d**3)
 
 

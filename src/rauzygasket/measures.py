@@ -43,10 +43,10 @@ from .graph import (
 from .induction import CYC, STAY, SWAP
 from .markov import (
     ChartPoint,
-    _counter,
+    HoleCell,
     _counter_batch,
+    _step,
     accelerated_step_batch,
-    apply_T,
     sample_sorted_simplex,
 )
 
@@ -244,7 +244,16 @@ def mc_balance(
     """For each C, the empirical probability that the weight vector,
     started at unit weights q, is still C-balanced,
     M(B q) < C min(m(B q), M(q)), at the completion moment of the path
-    (the first generalized step after which every letter has won)."""
+    (the first generalized step after which every letter has won).
+
+    ``unresolved`` counts the points that did not complete: they died in
+    a hole before every letter won, or were still running after
+    ``_BALANCE_MAX_STEPS`` steps.
+
+    A block is walked as ``_first_returns`` walks its points, with the
+    weights and letters by rank, leader first, and one compaction per
+    step, on ``alive & ~complete``.
+    """
     cs = [float(c) for c in c_grid]
     if any(c <= 1 for c in cs):
         raise ValueError("C values must exceed 1")
@@ -252,42 +261,31 @@ def mc_balance(
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_BALANCE, i))
         a, b = sample_sorted_simplex(rng, size)
-        order = np.tile(np.arange(3), (size, 1))  # letter index at each rank
-        weights = np.ones((size, 3))
+        weights = np.ones((3, size))  # by rank
+        letters = np.tile(np.arange(3)[:, None], (1, size))  # letter index at each rank
         won = np.zeros(size, dtype=np.int64)
-        active = np.ones(size, dtype=bool)
-        done_max = np.full(size, np.nan)
-        done_min = np.full(size, np.nan)
+        done_max = []
+        done_min = []
         for _ in range(_BALANCE_MAX_STEPS):
-            if not active.any():
+            if not a.size:
                 break
-            idx = np.flatnonzero(active)
-            a2, b2, n, kind, d, alive = accelerated_step_batch(a[idx], b[idx])
-            sub = idx[alive]
-            na = n[alive]
-            ka = kind[alive]
-            w = order[sub, 0]
-            won[sub] |= 1 << w
-            gain = na * weights[sub, w]
-            for col in range(3):
-                mask = w != col
-                weights[sub[mask], col] += gain[mask]
-            # reorder letters: swap = exchange ranks 0,1; cyc = rotate left
-            o = order[sub]
-            swapped = o[:, (1, 0, 2)]
-            cycled = o[:, (1, 2, 0)]
-            order[sub] = np.where((ka == 0)[:, None], swapped, cycled)
-            a[sub] = a2[alive]
-            b[sub] = b2[alive]
-            dead = idx[~alive]
-            active[dead] = False
-            complete = sub[won[sub] == 0b111]
-            if complete.size:
-                done_max[complete] = weights[complete].max(axis=1)
-                done_min[complete] = weights[complete].min(axis=1)
-                active[complete] = False
-        finished = ~np.isnan(done_max)
-        return done_max[finished], done_min[finished], int(size - finished.sum())
+            a, b, n, kind, _, alive = accelerated_step_batch(a, b)
+            won |= 1 << letters[0]
+            weights[1:] += n * weights[0]
+            cyc = kind == _KIND_CODE[CYC]
+            weights, letters = (
+                np.where(cyc, *(np.stack(apply_kind(tuple(x), k)) for k in (CYC, SWAP)))
+                for x in (weights, letters)
+            )
+            complete = alive & (won == 0b111)
+            done = weights.compress(complete, axis=1)
+            done_max.append(done.max(axis=0))
+            done_min.append(done.min(axis=0))
+            keep = alive & ~complete
+            a, b, won = (v.compress(keep) for v in (a, b, won))
+            weights, letters = (v.compress(keep, axis=1) for v in (weights, letters))
+        mx = np.concatenate(done_max)
+        return mx, np.concatenate(done_min), size - mx.size
 
     parts = _run_blocks(block, _blocks(samples), workers)
     mx = np.concatenate([p[0] for p in parts])
@@ -310,24 +308,18 @@ def mc_balance(
 
 # --- roof function -----------------------------------------------------------
 
-def _block_totals(a, b, c, blocks: Sequence[tuple[int, str]]):
-    """Yield the per-block totals n a - (n-1) along the accelerated
-    blocks from the sorted lengths (a, b, c), exact or float.
+def _block_totals(point: ChartPoint, blocks: Sequence[tuple[int, str]]):
+    """Yield the per-block totals D = n a - (n-1) along the accelerated
+    blocks from the point, exact or float.
 
-    Raises OutsideCylinder if the point does not follow the blocks.
+    Raises OutsideCylinder if the point does not follow the blocks, and
+    TieOnBoundary where ``cell_of`` does.
     """
     for n, kind in blocks:
-        s = 1 - a
-        got_n = _counter(a, b, s)
-        rem = a - got_n * s
-        if rem <= 0 or got_n != n:
-            raise OutsideCylinder(f"expected counter {n}, point has {got_n}")
-        got_kind = SWAP if rem > c else CYC
-        if got_kind != kind:
-            raise OutsideCylinder(f"expected {kind} ending, point has {got_kind}")
-        d = a - (n - 1) * s
+        cell, d, point = _step(point)
+        if isinstance(cell, HoleCell) or (cell.n, cell.kind) != (n, kind):
+            raise OutsideCylinder(f"expected block {(n, kind)}, point has {cell}")
         yield d
-        a, b, c = sorted((rem / d, b / d, c / d), reverse=True)
 
 
 def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction:
@@ -336,7 +328,8 @@ def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction
 
     Raises OutsideCylinder if the point does not follow the blocks.
     """
-    return math.prod(_block_totals(*point.exact(), blocks), start=Fraction(1))
+    point.exact()  # ValueError for a float point
+    return math.prod(_block_totals(point, blocks), start=Fraction(1))
 
 
 def _as_blocks(path) -> list[tuple[int, str]]:
@@ -345,20 +338,14 @@ def _as_blocks(path) -> list[tuple[int, str]]:
     return [(int(n), kind) for n, kind in path]
 
 
-def roof(point, path) -> float:
+def roof(point: ChartPoint, path) -> float:
     """Return-time value -log || (B*)^{-1} lambda ||_1 of the path at the
-    point; per accelerated block this is -log(n a - (n-1)).
-
-    Accepts a ChartPoint or anything with sorted_lengths() (the chart
-    only sees the sorted lengths)."""
-    if not isinstance(point, ChartPoint):
-        a, b, _ = point.sorted_lengths()
-        point = ChartPoint.from_fractions(Fraction(a), Fraction(b))
+    point; per accelerated block this is -log(n a - (n-1))."""
     blocks = _as_blocks(path)
     if not blocks:
         return 0.0
     if isinstance(point.a, float):
-        return -sum(map(math.log, _block_totals(*point.coords(), blocks)))
+        return -sum(map(math.log, _block_totals(point, blocks)))
     return -math.log(roof_scale(point, blocks))
 
 
@@ -490,12 +477,11 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
     cur = point
     cum = 0.0
     for m in range(1, cap + L + 1):
-        out = apply_T(cur)
-        if not isinstance(out, tuple):
+        cell, d, image = _step(cur)
+        if isinstance(cell, HoleCell):
             raise OutsideCylinder(f"orbit fell into a hole after {m - 1} steps")
-        image, cell = out
         sym = (cell.n, cell.kind)
-        cum -= math.log(cur.a - (cell.n - 1) * (1 - cur.a))
+        cum -= math.log(d)
         consumed.append(sym)
         if m <= L and sym != tokens[m - 1]:
             raise OutsideCylinder(
@@ -513,7 +499,7 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
                 roof_value=ret_cum,
             )
         state = nxt[state, x]
-        cur = image
+        cur = image.validate()
         trail.append((cur, cum))
         if m - L >= cap:
             break

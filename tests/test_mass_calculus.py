@@ -67,12 +67,14 @@ def test_end_state_denominator_is_cylinder_measure(start, blocks):
 
 @settings(max_examples=200, deadline=None)
 @given(q=WEIGHTS, order=ORDERINGS, k=st.integers(1, 10**6))
+@example(q=(3, 1, 2), order=(2, 3, 1), k=1)
 def test_hole_and_cap_terms_match_reference_forms(q, order, k):
     d_node = cone_denominator(q, order)
-    cells = _cells([q[p - 1] for p in order], k)
-    before, after, swap, cyc, hole = (
-        x[0, 0] for x in (cells.before, cells.after, cells.swap, cells.cyc, cells.hole)
-    )
+    w = [q[p - 1] for p in order]
+    cells = _cells(w, k)
+    after, swap, cyc, hole = (x[0, 0] for x in (cells.after, cells.swap, cells.cyc, cells.hole))
+    # still leading after k - 1 wins: the whole node at k = 1
+    before = d_node if k == 1 else _cells(w, k - 1).after[0, 0]
     assert F(1, before) - F(1, after) - F(1, swap) - F(1, cyc) == F(1, hole)
     assert F(d_node, hole) == hole_mass_at(q, order, k)
     assert F(d_node, before) == running_mass(q, order, k - 1)

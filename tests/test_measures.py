@@ -9,17 +9,20 @@ from rauzygasket.graph import (
     START,
     CocycleMatrix,
     RauzyPath,
+    apply_kind,
     cocycle_of,
     path_from_blocks,
     path_from_kinds,
 )
-from rauzygasket.induction import CYC
+from rauzygasket.induction import CYC, SWAP
 from rauzygasket.markov import (
     ChartPoint,
     MarkovCell,
+    TieOnBoundary,
     accelerated_step_batch,
     apply_T,
     branch_preimage,
+    cell_of,
     inverse_branch,
     sample_sorted_simplex,
 )
@@ -29,6 +32,8 @@ from rauzygasket.measures import (
     OutsideCylinder,
     Q_ONES,
     ReturnRecord,
+    _BALANCE_MAX_STEPS,
+    _TAG_BALANCE,
     _as_blocks,
     _first_returns,
     _loop_automaton,
@@ -325,6 +330,46 @@ def test_balance_monotone_and_witness():
     assert any(r["probability"] > 1.0 / r["C"] for r in rows)
 
 
+def _balance_reference(grid, samples, seed):
+    """``mc_balance`` rows of one block, one sample at a time: each step
+    runs ``accelerated_step_batch`` on 1-element arrays, the weights stay
+    in letter coordinates (``dual_update``) and the ordering follows
+    ``apply_kind`` from START."""
+    a, b = sample_sorted_simplex(np.random.default_rng((seed, _TAG_BALANCE, 0)), samples)
+    done = []
+    for x, y in zip(a, b):
+        x, y = np.array([x]), np.array([y])
+        q, order, won = (1.0, 1.0, 1.0), START, set()
+        for _ in range(_BALANCE_MAX_STEPS):
+            x, y, n, kind, _, alive = accelerated_step_batch(x, y)
+            if not alive[0]:
+                break
+            q = dual_update(q, order[0], int(n[0]))
+            won.add(order[0])
+            order = apply_kind(order, CYC if kind[0] else SWAP)
+            if len(won) == 3:
+                done.append((max(q), min(q)))
+                break
+    return [
+        {
+            "C": c,
+            "probability": sum(hi < c * min(lo, 1.0) for hi, lo in done) / samples,
+            "target": 1.0 / c,
+            "completed": len(done),
+            "unresolved": samples - len(done),
+        }
+        for c in grid
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_balance_matches_per_sample_reference(seed):
+    grid = [1.5, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0, 10000.0]
+    rows = mc_balance(grid, samples=3000, seed=seed)
+    assert rows == _balance_reference(grid, 3000, seed)
+    assert rows[0]["completed"] > 300
+
+
 def test_balance_rejects_c_below_one():
     with pytest.raises(ValueError):
         mc_balance([0.5], samples=100, seed=0)
@@ -349,6 +394,23 @@ def test_roof_outside_cylinder():
             roof(p, [(3, "cyc")])
         with pytest.raises(OutsideCylinder):
             roof(p, [(2, "swap")])
+
+
+def test_roof_raises_tie_where_cell_of_does():
+    # a = 11/20, b = 7/20: one win leaves rem = 2a - 1 = 1/10 = c, the
+    # boundary between the swap and the cyc ending of the counter-1 cell
+    exact = ChartPoint.from_fractions(F(11, 20), F(7, 20))
+    floats = [ChartPoint(0.55, 0.35), ChartPoint(0.55 + 1e-15, 0.35),
+              ChartPoint(0.55, 0.35 - 1e-15), ChartPoint(0.55 - 1e-15, 0.35 + 1e-15)]
+    for p in [exact] + floats:
+        with pytest.raises(TieOnBoundary):
+            cell_of(p)
+        for kind in (SWAP, CYC):
+            with pytest.raises(TieOnBoundary):
+                roof(p, [(1, kind)])
+    for kind in (SWAP, CYC):
+        with pytest.raises(TieOnBoundary):
+            roof_scale(exact, [(1, kind)])
 
 
 def test_roof_scale_matches_matrix_solve():

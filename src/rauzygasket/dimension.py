@@ -18,20 +18,20 @@ bending: it depends on the window and is not the limit rate.  The figure
 2 - min(delta_hat, alpha_1) inherits that window.
 
 The exact masses are integer ratios (see the integer mass calculus
-below).  ``survivor_sweep`` and ``fast_decay_estimate`` walk level by
-level: a level of nodes is expanded over all its nodes and counters in
-one numpy broadcast.  ``fast_decay_estimate`` holds a whole level, so its
-memory is that of the widest level.  ``survivor_sweep`` expands a level
-in chunks of a fixed node count, depth first, so its memory grows
-linearly in depth (at floor 1/10^12, 64 MB of peak RSS at depth 13 and
-72 MB at depth 14, where whole levels of 3^d nodes took 321 MB at depth
-13).
-``enumerate_cylinders`` streams its records depth first in O(depth)
-memory and runs the same block arithmetic one node at a time.  Each walk
-picks its array dtype once, from a bound on the weights it can reach:
-int64 when every denominator is below 2^53, where numpy's ``d0 / D`` is
-the correctly rounded quotient, as Python's int / int is; otherwise
-object arrays of Python ints.
+below).  ``survivor_sweep``, ``fast_decay_estimate`` and ``depth_totals``
+walk the tree with one generator, ``_descend``: it expands chunks of at
+most ``_CELL_BUDGET`` cells (nodes x counters) in one numpy broadcast each,
+depth first over the chunks, so the nodes it holds grow linearly in
+depth.  The sweep keeps only exact partial sums; the accelerated walks
+also keep the denominators they sum, most of them the branches and holes
+of the last level.  ``enumerate_cylinders`` runs the same block
+arithmetic one node at a time and streams its records depth first, in
+O(depth) memory, in the order the ``cylinders`` command prints; it is the
+reference the chunked walk is tested against.  Each walk picks its array
+dtype once, from a bound on the weights it can reach: int64 when every
+denominator is below 2^53, where numpy's ``d0 / D`` is the correctly
+rounded quotient, as Python's int / int is; otherwise object arrays of
+Python ints.
 """
 
 from __future__ import annotations
@@ -42,13 +42,17 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .graph import START, apply_kind
 from .induction import CYC, STAY, SWAP
-from .measures import (  # noqa: F401  (reference forms kept importable from here)
+# perfbench's Dimension.trace_targets looks up survivor_mass,
+# enumerate_cylinders, elementary_children, block_child and hole_mass_at
+# on this module by name, so a traced run fails if any of them goes
+from .measures import (  # noqa: F401
     Q_ONES,
     block_child,
     cone_denominator,
@@ -80,11 +84,9 @@ class NonPositiveInput(Exception):
 # D = cone_denominator(q, order) and d0 is the same at the start state.
 # A node is its weights listed in its ordering, leader first, so D is
 # w1 (w1 + w2) (w1 + w2 + w3) and a step permutes the weights as
-# ``apply_kind`` permutes the ordering.  The walks run one level at a time
-# on integer arrays; a Fraction is built only where an exact total is
-# reported.
+# ``apply_kind`` permutes the ordering.  The walks run on integer arrays; a
+# Fraction is built only where an exact total is reported.
 
-_UNIT_WEIGHTS = (1, 1, 1)  # the survivor sweep's start weights
 _FLOAT_EXACT = 1 << 53  # int64 values below this convert to float64 exactly
 
 
@@ -151,6 +153,11 @@ class _Blocks(NamedTuple):
         (N x K x 3)."""
         return np.stack(apply_kind((self.lead, self.second, self.third), kind), axis=-1)
 
+    def den(self, kind: str) -> np.ndarray:
+        """D of each cell's child of ``kind``; STAY is still leading after
+        n wins."""
+        return {STAY: self.after, SWAP: self.swap, CYC: self.cyc}[kind]
+
 
 def _expand(w: np.ndarray, n: np.ndarray) -> _Blocks:
     """The blocks of counters ``n`` (K) from nodes of weights ``w`` (N x 3),
@@ -178,6 +185,25 @@ def _expand(w: np.ndarray, n: np.ndarray) -> _Blocks:
         cyc=a * ab * s,
         hole=a * (ab - lead) * ab,
     )
+
+
+_CELL_BUDGET = 3**10  # cells (nodes x counters) a walk expands in one broadcast
+
+
+def _descend(walk: _Walk, depth: int, counters: np.ndarray, kinds) -> Iterator:
+    """(level, blocks) for each chunk of the nodes of levels 0..depth - 1,
+    depth first over chunks of at most ``_CELL_BUDGET`` cells (or one node).
+    A child of ``kinds`` is a node of the next level iff its D <= walk.cut."""
+    per_chunk = max(1, _CELL_BUDGET // counters.size)
+    stack = [(0, np.array([walk.w0], dtype=walk.dtype))] if depth > 0 else []
+    while stack:
+        level, w = stack.pop()
+        blocks = _expand(w, counters)
+        yield level, blocks
+        if level + 1 < depth:
+            w = np.concatenate(
+                [blocks.weights(kind)[blocks.den(kind) <= walk.cut] for kind in kinds])
+            stack += [(level + 1, w[i:i + per_chunk]) for i in range(0, len(w), per_chunk)]
 
 
 _DIGITS = 4000  # below the interpreter's default cap on int-to-str digits
@@ -311,17 +337,30 @@ def enumerate_cylinders(
     return visit((), walk.w0, 0)
 
 
+def _accelerated_terms(depth, measure_floor=Fraction(0), n_cap=64, start=START, q=Q_ONES):
+    """(d0, branch, hole, rest): the D of each term d0 / D of the branch,
+    hole and remainder records ``enumerate_cylinders`` emits on these
+    arguments."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    walk = _walk(q, start, depth, n_cap, measure_floor)
+    counters = np.arange(1, n_cap + 1).astype(walk.dtype)
+    branch, hole, rest = [], [], []
+    for level, blocks in _descend(walk, depth, counters, (SWAP, CYC)):
+        ends = (blocks.swap, blocks.cyc)
+        if level + 1 == depth:
+            branch += [den[den <= walk.cut] for den in ends]
+        hole.append(blocks.hole[blocks.hole <= walk.cut])
+        rest += [blocks.after[:, -1], blocks.hole[blocks.hole > walk.cut]]
+        rest += [den[den > walk.cut] for den in ends]
+    empty = [np.zeros(0, dtype=walk.dtype)]  # a level the floor empties yields no chunk
+    return walk.d0, *(np.concatenate(dens + empty) for dens in (branch, hole, rest))
+
+
 def depth_totals(depth: int, **kw) -> dict:
     """Exact mass accounting of one enumeration: by record kind."""
-    terms = {kind: ([], []) for kind in ("branch", "hole", "remainder")}
-    for cyl in enumerate_cylinders(depth, **kw):
-        nums, dens = terms[cyl.kind]
-        nums.append(cyl.num)
-        dens.append(cyl.den)
-    sums = {
-        kind: _exact_sum(np.array(nums, dtype=object), np.array(dens, dtype=object))
-        for kind, (nums, dens) in terms.items()
-    }
+    d0, *terms = _accelerated_terms(depth, **kw)
+    sums = dict(zip(("branch", "hole", "remainder"), (_exact_sum(d0, t) for t in terms)))
     sums["total"] = sums["branch"] + sums["hole"] + sums["remainder"]
     return sums
 
@@ -334,10 +373,6 @@ class SurvivorSweep:
     nodes: int  # elementary nodes visited
 
 
-_SWEEP_CHUNK = 3**10  # nodes the survivor sweep expands at once; a depth-10
-# sweep has at most this many on a level, so it takes one chunk per level
-
-
 def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> SurvivorSweep:
     """Exact brackets [lower, upper] for the mass surviving d elementary
     steps from the start ordering with unit weights, for every
@@ -347,54 +382,29 @@ def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> Sur
     expanded: it is dead in the lower bound and alive in the upper of
     every deeper bracket.
 
-    The sweep expands up to ``_SWEEP_CHUNK`` nodes of a level in one
-    broadcast, and goes depth first over these chunks: the children of a
-    chunk are all summed and expanded before the next chunk of its level.
-    Each level's exact mass is the sum of its chunks' partial sums.  So at
-    most about four chunks per level are held at once, and memory grows
-    linearly in depth where whole levels would grow 3x per depth.
+    The elementary tree is the accelerated tree at counter cap 1 with the
+    cell still leading kept as a node (kind STAY), so the sweep is
+    ``_descend`` with one counter: each level's exact mass is the sum of
+    its chunks' partial sums.
     """
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
-    walk = _walk(_UNIT_WEIGHTS, START, max_depth, 1, measure_floor)
+    walk = _walk(Q_ONES, START, max_depth, 1, measure_floor)
+    kinds = (STAY, SWAP, CYC)
+    root_kept = walk.d0 <= walk.cut  # a root below the floor stays unexpanded
+    mass = [Fraction(1)] + [Fraction(0)] * max_depth
+    pruned = [Fraction(0 if root_kept else 1)] + [Fraction(0)] * max_depth
+    nodes = 1
     one = np.ones(1, dtype=walk.dtype)
-    # pending[level] lists chunks of that level's nodes not yet summed, one
-    # row per node: the weights then the denominator D (mass d0 / D); the
-    # deepest level is summed, not expanded, so its rows are D alone
-    pending = [[] for _ in range(max_depth + 1)]
-    pending[0].append(np.array([(*walk.w0, walk.d0)], dtype=walk.dtype))
-    mass = [Fraction(0)] * (max_depth + 1)
-    pruned = [Fraction(0)] * (max_depth + 1)  # below the floor, not expanded
-    nodes = 0
-    level = 0
-    while level >= 0:
-        if not pending[level]:
-            level -= 1
-            continue
-        chunk = pending[level].pop()
-        d = chunk[:, -1]
-        nodes += d.size
-        mass[level] += _exact_sum(walk.d0, d)
-        if level == max_depth:
-            continue
-        kept = d <= walk.cut
-        pruned[level] += _exact_sum(walk.d0, d[~kept])
-        # one win of the leader: STAY is still leading after it
-        blocks = _expand(chunk[kept, :3], one)
-        d = np.concatenate([blocks.after.ravel(), blocks.swap.ravel(), blocks.cyc.ravel()])
-        level += 1
-        if level < max_depth:
-            rows = np.column_stack((np.concatenate(
-                [blocks.weights(kind).reshape(-1, 3) for kind in (STAY, SWAP, CYC)]), d))
-        else:
-            rows = d[:, None]
-        pending[level] = [rows[i:i + _SWEEP_CHUNK] for i in range(0, len(rows), _SWEEP_CHUNK)]
-    brackets = []
-    unresolved = Fraction(0)
-    for lo, cut_off in zip(mass, pruned):
-        brackets.append((lo, lo + unresolved))
-        unresolved += cut_off
-    return SurvivorSweep(brackets=brackets, nodes=nodes)
+    for level, blocks in _descend(walk, max_depth if root_kept else 0, one, kinds):
+        for kind in kinds:  # a sum per kind has at most a chunk of terms
+            d = blocks.den(kind).ravel()
+            nodes += d.size
+            mass[level + 1] += _exact_sum(walk.d0, d)
+            pruned[level + 1] += _exact_sum(walk.d0, d[d > walk.cut])
+    # pruned mass is unresolved at every deeper level
+    unresolved = accumulate(pruned, initial=Fraction(0))
+    return SurvivorSweep(brackets=[(lo, lo + u) for lo, u in zip(mass, unresolved)], nodes=nodes)
 
 
 def survivor_mass(depth: int, measure_floor: Fraction = Fraction(0)) -> tuple[Fraction, Fraction]:
@@ -505,26 +515,13 @@ def fast_decay_estimate(
     and the enumerated S differ by less than that), and to S at most half
     of the total so the saturation plateau stays out of the fit.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    walk = _walk(Q_ONES, START, depth, n_cap, measure_floor)
-    counters = np.arange(1, n_cap + 1).astype(walk.dtype)
-    w = np.array([walk.w0], dtype=walk.dtype)
-    rest = []  # denominators D of the remainder's terms d0 / D
-    for level in range(depth):
-        blocks = _expand(w, counters)
-        ends = ((SWAP, blocks.swap), (CYC, blocks.cyc))
-        rest += [blocks.after[:, -1], blocks.hole[blocks.hole > walk.cut]]
-        rest += [den[den > walk.cut] for _, den in ends]
-        if level + 1 < depth:
-            w = np.concatenate([blocks.weights(kind)[den <= walk.cut] for kind, den in ends])
-    branches = np.concatenate([den[den <= walk.cut] for _, den in ends])
+    d0, branches, _, rest = _accelerated_terms(depth, measure_floor, n_cap)
     if not branches.size:
         raise ValueError("no cylinders enumerated; raise the budgets")
     # int / int is correctly rounded, on int64 and on Python ints alike
-    values = np.sort((walk.d0 / branches).astype(float))
+    values = np.sort((d0 / branches).astype(float))
     cum = np.cumsum(values)
-    remainder = _exact_sum(walk.d0, np.concatenate(rest))
+    remainder = _exact_sum(d0, rest)
     rem = float(remainder)
 
     def s_of(e: float) -> float:

@@ -201,11 +201,15 @@ def inverse_branch(cell: MarkovCell, p: ChartPoint) -> ChartPoint:
 
 # --- vectorized float dynamics (shared by the Monte Carlo modules) ----------
 
+KIND_CODE = {SWAP: 0, CYC: 1}  # the kind codes of accelerated_step_batch
+
+
 def accelerated_step_batch(a, b):
     """Vectorized accelerated step on chart arrays.
 
-    Returns (a', b', n, kind, D, alive) where kind is 0 for swap and 1 for
-    cyc; entries with alive == False hit a hole and carry junk outputs.
+    Returns (a', b', n, kind, D, alive) where kind is KIND_CODE[ending]: 0
+    for swap, 1 for cyc; entries with alive == False hit a hole and carry
+    junk outputs.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

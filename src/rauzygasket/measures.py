@@ -42,6 +42,7 @@ from .graph import (
 )
 from .induction import CYC, STAY, SWAP
 from .markov import (
+    KIND_CODE,
     ChartPoint,
     HoleCell,
     _counter_batch,
@@ -51,8 +52,6 @@ from .markov import (
 )
 
 Q_ONES: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(1), Fraction(1))
-
-_KIND_CODE = {SWAP: 0, CYC: 1}
 
 log = logging.getLogger("rauzygasket")
 
@@ -245,6 +244,8 @@ def mc_balance(
     started at unit weights q, is still C-balanced,
     M(B q) < C min(m(B q), M(q)), at the completion moment of the path
     (the first generalized step after which every letter has won).
+    Weights only grow, so M(q) = 1 <= m(B q) and the event is
+    M(B q) < C.
 
     ``unresolved`` counts the points that did not complete: they died in
     a hole before every letter won, or were still running after
@@ -265,35 +266,31 @@ def mc_balance(
         letters = np.tile(np.arange(3)[:, None], (1, size))  # letter index at each rank
         won = np.zeros(size, dtype=np.int64)
         done_max = []
-        done_min = []
         for _ in range(_BALANCE_MAX_STEPS):
             if not a.size:
                 break
             a, b, n, kind, _, alive = accelerated_step_batch(a, b)
             won |= 1 << letters[0]
             weights[1:] += n * weights[0]
-            cyc = kind == _KIND_CODE[CYC]
+            cyc = kind == KIND_CODE[CYC]
             weights, letters = (
                 np.where(cyc, *(np.stack(apply_kind(tuple(x), k)) for k in (CYC, SWAP)))
                 for x in (weights, letters)
             )
             complete = alive & (won == 0b111)
-            done = weights.compress(complete, axis=1)
-            done_max.append(done.max(axis=0))
-            done_min.append(done.min(axis=0))
+            done_max.append(weights.compress(complete, axis=1).max(axis=0))
             keep = alive & ~complete
             a, b, won = (v.compress(keep) for v in (a, b, won))
             weights, letters = (v.compress(keep, axis=1) for v in (weights, letters))
         mx = np.concatenate(done_max)
-        return mx, np.concatenate(done_min), size - mx.size
+        return mx, size - mx.size
 
     parts = _run_blocks(block, _blocks(samples), workers)
     mx = np.concatenate([p[0] for p in parts])
-    mn = np.concatenate([p[1] for p in parts])
-    unresolved = sum(p[2] for p in parts)
+    unresolved = sum(p[1] for p in parts)
     out = []
     for c in cs:
-        hits = np.count_nonzero(mx < c * np.minimum(mn, 1.0))
+        hits = np.count_nonzero(mx < c)
         out.append(
             {
                 "C": c,
@@ -578,7 +575,7 @@ def _first_returns(a, b, tokens: list, cap: int):
         ring[(m - 1) % L] = inc
         at = state * width  # flat index of (state, class) in the tables
         for x, (sym_n, sym_kind) in enumerate(symbols, start=1):
-            at += x * ((n == sym_n) & (kind == _KIND_CODE[sym_kind]))
+            at += x * ((n == sym_n) & (kind == KIND_CODE[sym_kind]))
         ret = hit[at] & alive & (m - L >= 1)
         state = nxt[at]
         if ret.any():

@@ -17,6 +17,7 @@ from .dimension import depth_totals, survivor_mass
 from .graph import verify_complete_implies_positive
 from .induction import CYC, SWAP, format_scalar
 from .markov import (
+    KIND_CODE,
     ChartPoint,
     HoleCell,
     accelerated_step_batch,
@@ -66,7 +67,7 @@ def distortion_experiment(samples: int, seed: int):
             ya, yb = sample_sorted_simplex(rng, 2 * per)
             pa, pb = branch_preimage(n, kind, ya, yb, 1.0 - ya - yb)
             a2, b2, n_chk, kind_chk, d, alive = accelerated_step_batch(pa, pb)
-            ok = alive & (n_chk == n) & (kind_chk == (0 if kind == SWAP else 1))
+            ok = alive & (n_chk == n) & (kind_chk == KIND_CODE[kind])
             j = 1.0 / d**3
             j1, j2 = j[0::2], j[1::2]
             x1, y1v = a2[0::2], b2[0::2]

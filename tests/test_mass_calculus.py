@@ -171,14 +171,64 @@ def test_survivor_brackets_with_floor_match_brute_force():
 
 @pytest.mark.parametrize("floor", [F(0), F(1, 10**4), F(1, 10**12)])
 def test_chunked_sweep_matches_one_chunk_per_level(monkeypatch, floor):
+    # at the default budget each of these walks takes one chunk per level
     want = survivor_sweep(8, floor)
-    assert want.nodes <= (3**9 - 1) // 2 < dimension._SWEEP_CHUNK
-    # 7 nodes per chunk splits every level past the first into partial
-    # sums, and leaves short chunks where the floor prunes
-    monkeypatch.setattr(dimension, "_SWEEP_CHUNK", 7)
+    assert want.nodes <= (3**9 - 1) // 2 < dimension._CELL_BUDGET
+    fit = fast_decay_estimate(2, n_cap=48, measure_floor=floor)
+    totals = depth_totals(3, n_cap=3, measure_floor=floor)
+    # 7 cells per chunk splits every level past the first into partial
+    # sums, and leaves short chunks where the floor prunes: chunks of 7
+    # elementary nodes, of 2 nodes at 3 counters, of 1 node at 48
+    monkeypatch.setattr(dimension, "_CELL_BUDGET", 7)
     got = survivor_sweep(8, floor)
     assert (got.brackets, got.nodes) == (want.brackets, want.nodes)
     assert got.brackets[:7] == [_brute_bracket(d, floor) for d in range(7)]
+    assert repr(fast_decay_estimate(2, n_cap=48, measure_floor=floor)) == repr(fit)
+    assert depth_totals(3, n_cap=3, measure_floor=floor) == totals
+
+
+def test_sweep_of_depth_zero_and_a_root_below_the_floor():
+    one = (F(1), F(1))
+    assert (survivor_sweep(0).brackets, survivor_sweep(0).nodes) == ([one], 1)
+    for floor in (F(2), 1 + F(1, 10**40)):
+        # the root is below the floor, so it stays unexpanded
+        sweep = survivor_sweep(3, floor)
+        assert (sweep.brackets, sweep.nodes) == ([one] + [(F(0), F(1))] * 3, 1)
+    # at floor 1 the root is kept and its three children are not
+    sweep = survivor_sweep(2, F(1))
+    assert (sweep.brackets, sweep.nodes) == ([one, (F(3, 4), F(3, 4)), (F(0), F(3, 4))], 4)
+
+
+# --- the accelerated walk against its records -------------------------------------------
+
+def _record_totals(depth, **kw):
+    """``depth_totals`` summed record by record from ``enumerate_cylinders``."""
+    sums = {kind: F(0) for kind in ("branch", "hole", "remainder")}
+    for cyl in enumerate_cylinders(depth, **kw):
+        sums[cyl.kind] += cyl.measure
+    sums["total"] = sums["branch"] + sums["hole"] + sums["remainder"]
+    return sums
+
+
+# 1/26180 is the mass of the branch ((1, cyc), (20, swap)) from unit weights;
+# floors 1 and 2 leave no node below the root
+@pytest.mark.parametrize("floor", [F(0), F(1, 10**6), F(1, 26180), F(1), F(2)])
+@pytest.mark.parametrize("depth, n_cap", [(1, 40), (2, 24), (3, 6)])
+def test_depth_totals_match_cylinder_records(depth, n_cap, floor):
+    other_start = dict(start=(3, 1, 2), q=(F(1, 3), F(2), F(5, 7)))
+    for kw in ({}, other_start):
+        kw = dict(kw, n_cap=n_cap, measure_floor=floor)
+        assert depth_totals(depth, **kw) == _record_totals(depth, **kw)
+
+
+def test_accelerated_walk_when_the_floor_empties_a_level():
+    # at floor 1/5 the root keeps only its first hole, of mass 1/4, so
+    # level 1 is empty; above 1 even the holes are below the floor
+    for depth, floor, hole in ((2, F(1, 5), F(1, 4)), (2, F(1), F(0)), (1, F(2), F(0))):
+        totals = depth_totals(depth, n_cap=16, measure_floor=floor)
+        assert totals == {"branch": 0, "hole": hole, "remainder": 1 - hole, "total": 1}
+        with pytest.raises(ValueError, match="no cylinders enumerated"):
+            fast_decay_estimate(depth, n_cap=16, measure_floor=floor)
 
 
 # --- exact sums and the two walk dtypes -------------------------------------------------
@@ -214,8 +264,9 @@ def _walk_outputs():
     sweep = survivor_sweep(8)
     floored = survivor_sweep(8, measure_floor=F(1, 10**4))
     fit = fast_decay_estimate(2, n_cap=48)
+    totals = depth_totals(3, n_cap=8, measure_floor=F(1, 10**6))
     records = [(c.path, c.num, c.den, c.kind) for c in enumerate_cylinders(2, n_cap=8)]
-    return sweep, floored, fit, records
+    return sweep, floored, fit, totals, records
 
 
 def test_object_dtype_walks_match_int64(monkeypatch):

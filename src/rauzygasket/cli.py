@@ -80,6 +80,14 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --samples: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -336,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="first-return roof tail")
     p.add_argument("--loop", choices=sorted(NAMED_LOOPS), default="ccc")
-    p.add_argument("--samples", type=int, default=10**5)
+    p.add_argument("--samples", type=_positive_int, default=10**5)
     p.add_argument("--cap", type=int, default=10**4)
     p.add_argument("--t-grid", default=None, help="comma-separated thresholds")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -359,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_points)
 
     p = sub.add_parser("distortion", help="distortion-bound experiment")
-    p.add_argument("--samples", type=int, default=10**5)
+    p.add_argument("--samples", type=_positive_int, default=10**5)
     _add_common(p)
     p.set_defaults(func=cmd_distortion)
 
     p = sub.add_parser("verify", help="named invariant suites")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -40,7 +40,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -54,6 +54,7 @@ from .induction import CYC, STAY, SWAP
 # on this module by name, so a traced run fails if any of them goes
 from .measures import (  # noqa: F401
     Q_ONES,
+    _fit_line,
     block_child,
     cone_denominator,
     elementary_children,
@@ -422,15 +423,6 @@ class DecayFit:
     widths: list[float]  # relative bracket widths
     nodes: int  # elementary nodes the survivor sweep visited
 
-    def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "residual": self.residual,
-            "depths": self.depths,
-            "values": self.values,
-            "relative_widths": self.widths,
-        }
-
 
 _MAX_RELATIVE_WIDTH = 0.2  # widest truncation bracket delta_estimate accepts
 
@@ -457,12 +449,9 @@ def delta_estimate(max_depth: int, measure_floor: Fraction = Fraction(0)) -> Dec
             f"relative bracket width {widths[-1]:.3g} at depth {max_depth}; "
             "raise the depth budget or lower the measure floor"
         )
-    x = np.asarray(depths, dtype=float)
-    y = np.asarray(values)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    slope, resid = _fit_line(np.asarray(depths, dtype=float), np.asarray(values))
     return DecayFit(
-        exponent=float(slope),
+        exponent=slope,
         residual=resid,
         depths=depths,
         values=[float(v) for v in values],
@@ -479,21 +468,8 @@ class FastDecayFit:
     residual: float
     eps: list[float]
     small_mass: list[float]  # S(eps): total mass of cylinders of mass <= eps
-    depth: int
     enumerated: int
-    remainder: float
     remainder_exact: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "residual": self.residual,
-            "eps": self.eps,
-            "small_mass": self.small_mass,
-            "depth": self.depth,
-            "enumerated": self.enumerated,
-            "remainder": self.remainder,
-        }
 
 
 _TRUNCATION_RATIO = 0.05  # largest remainder / S(eps) on the default grid
@@ -522,14 +498,13 @@ def fast_decay_estimate(
     values = np.sort((d0 / branches).astype(float))
     cum = np.cumsum(values)
     remainder = _exact_sum(d0, rest)
-    rem = float(remainder)
 
     def s_of(e: float) -> float:
         idx = int(np.searchsorted(values, e, side="right"))
         return float(cum[idx - 1]) if idx > 0 else 0.0
 
     if eps_grid is None:
-        floor_s = rem / _TRUNCATION_RATIO
+        floor_s = float(remainder) / _TRUNCATION_RATIO
         lo_idx = int(np.searchsorted(cum, floor_s, side="left"))
         hi_idx = int(np.searchsorted(cum, 0.5 * float(cum[-1]), side="left"))
         lo_idx = min(lo_idx, values.size - 2)
@@ -540,18 +515,13 @@ def fast_decay_estimate(
     usable = [(e, s) for e, s in zip(eps, s_vals) if s > 0]
     if len(usable) < 2:
         raise ValueError("degenerate S(eps) grid; raise the budgets")
-    x = np.log([e for e, _ in usable])
-    y = np.log([s for _, s in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    slope, resid = _fit_line(np.log([e for e, _ in usable]), np.log([s for _, s in usable]))
     return FastDecayFit(
-        exponent=float(slope),
+        exponent=slope,
         residual=resid,
         eps=eps,
         small_mass=s_vals,
-        depth=depth,
         enumerated=int(branches.size),
-        remainder=rem,
         remainder_exact=remainder,
     )
 
@@ -564,14 +534,6 @@ class BoxCountFit:
     residual: float
     sizes: list[float]
     counts: list[int]
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "residual": self.residual,
-            "sizes": self.sizes,
-            "counts": self.counts,
-        }
 
 
 _MAX_LEVEL = 31  # finest grid 2**-31; two 32-bit box indices fill a 64-bit Morton code
@@ -641,12 +603,10 @@ def box_counting(points: np.ndarray, grid_sizes: Sequence[float]) -> BoxCountFit
         return BoxCountFit(dimension=0.0, residual=0.0, sizes=sizes, counts=counts)
     if counts[-1] < 2:
         raise DegenerateCloud("cloud spans fewer than 2 boxes at the coarsest size")
-    x = np.log(1.0 / np.asarray(sizes))
-    y = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    slope, resid = _fit_line(np.log(1.0 / np.asarray(sizes)),
+                             np.log(np.asarray(counts, dtype=float)))
     return BoxCountFit(
-        dimension=float(slope),
+        dimension=slope,
         residual=resid,
         sizes=sizes,
         counts=[int(c) for c in counts],
@@ -654,8 +614,12 @@ def box_counting(points: np.ndarray, grid_sizes: Sequence[float]) -> BoxCountFit
 
 
 def ad_bound(delta_hat: float, alpha1_hat: float) -> float:
-    """The figure 2 - min(delta, alpha_1) for the three-letter system; delta
-    is a finite-window slope (see the module docstring)."""
+    """The figure 2 - min(delta, alpha_1) for the three-letter system: a
+    heuristic, not an upper bound on the dimension.  delta is a
+    finite-window slope (see the module docstring).  With the block escape
+    rate 0.5124 of the transfer operator in place of delta the formula
+    gives 1.488, below both the singular-value pressure zero (about 1.72)
+    and the box-count trend (1.65-1.71)."""
     if not (delta_hat > 0 and alpha1_hat > 0):
         raise NonPositiveInput("both decay exponents must be positive")
     return 2.0 - min(delta_hat, alpha1_hat)
@@ -672,9 +636,7 @@ class DimensionReport:
     alpha1_hat: float
     ad_bound: float
     box_dim: float
-    delta_residual: float
-    alpha1_residual: float
-    box_residual: float
+    residuals: dict  # RMS residual of each fit: delta, alpha1, box
     depths_used: dict
     samples_used: dict
     seeds: dict
@@ -683,24 +645,10 @@ class DimensionReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        out = {
-            "delta_hat": self.delta_hat,
-            "alpha1_hat": self.alpha1_hat,
-            "ad_bound": self.ad_bound,
-            "box_dim": self.box_dim,
-            "residuals": {
-                "delta": self.delta_residual,
-                "alpha1": self.alpha1_residual,
-                "box": self.box_residual,
-            },
-            "depths_used": self.depths_used,
-            "samples_used": self.samples_used,
-            "seeds": self.seeds,
-            "counters": self.counters,
-            "timings": self.timings,
-        }
-        if self.notes:
-            out["notes"] = self.notes
+        """The fields in their order, without ``notes`` when it is empty."""
+        out = asdict(self)
+        if not self.notes:
+            del out["notes"]
         return out
 
 
@@ -749,9 +697,7 @@ def dimension_report(
         alpha1_hat=alpha.exponent,
         ad_bound=bound,
         box_dim=box.dimension,
-        delta_residual=delta.residual,
-        alpha1_residual=alpha.residual,
-        box_residual=box.residual,
+        residuals={"delta": delta.residual, "alpha1": alpha.residual, "box": box.residual},
         depths_used={"delta_elementary": delta_depth, "alpha_accelerated": alpha_depth,
                      "n_cap": n_cap, "measure_floor": str(measure_floor)},
         samples_used={"cloud_points": points},
@@ -762,6 +708,10 @@ def dimension_report(
             "delta is a finite-window slope: the all-stay path survives every "
             "elementary step and its depth-n cylinder has mass "
             "6/((n+2)(2n+3)) ~ 3/n^2, so the elementary decay rate tends to 0 "
-            "and delta_hat is the slope of -log mu(X_n) over the depths fitted"
+            "and delta_hat is the slope of -log mu(X_n) over the depths fitted. "
+            "ad_bound = 2 - min(delta_hat, alpha1_hat) is a heuristic figure, "
+            "not an upper bound: with the block escape rate 0.5124 in place of "
+            "delta_hat it gives 1.488, below both the singular-value pressure "
+            "zero (about 1.72) and the box-count trend (1.65-1.71)"
         ),
     )

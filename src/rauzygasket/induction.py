@@ -131,12 +131,14 @@ def format_scalar(x) -> str:
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or a bare integer.  Decimal notation is rejected: the
     induction is exact and silently rounding inputs would corrupt hole
-    detection."""
+    detection.  Bad text, a zero denominator included, raises ValueError."""
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"exact rational required (p/q), got {text!r}")
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text), 1)
 

@@ -25,7 +25,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -521,20 +521,8 @@ class TailCurve:
 
     def to_json(self) -> dict:
         # a fit that did not happen is NaN here and null in JSON
-        fitted = not math.isnan(self.fitted_exponent)
-        return {
-            "thresholds": self.thresholds,
-            "probabilities": self.probabilities,
-            "fitted_exponent": self.fitted_exponent if fitted else None,
-            "fit_residual": self.fit_residual if fitted else None,
-            "samples": self.samples,
-            "no_return": self.no_return,
-            "fit_points": self.fit_points,
-            "loop": self.loop,
-            "drawn": self.drawn,
-            "fit_t_min": self.fit_t_min,
-            "fit_t_max": self.fit_t_max,
-        }
+        return {k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in asdict(self).items()}
 
     def to_csv(self) -> str:
         lines = ["T,probability"]
@@ -654,6 +642,13 @@ def return_roofs(
     return roofs, drawn, lost
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(slope, RMS residual) of the least-squares line through (x, y): the
+    one fit behind every exponent the package reports."""
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+
+
 _MIN_COUNT = 100  # returns a threshold needs to enter the tail fit
 
 
@@ -693,11 +688,8 @@ def _tail_fit(roofs: np.ndarray, draws: int, t_grid):
     window = [t for t, _ in usable]
     if len(usable) < 2:
         return ts, probs, float("nan"), float("nan"), window
-    x = np.log(window)
-    y = np.log([p for _, p in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return ts, probs, float(-slope), resid, window
+    slope, resid = _fit_line(np.log(window), np.log([p for _, p in usable]))
+    return ts, probs, -slope, resid, window
 
 
 def fit_tail(

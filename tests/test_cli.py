@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 import rauzygasket
 from rauzygasket.cli import main
+from rauzygasket.measures import TailCurve
 
 
 def run_cli(capsys, *argv):
@@ -38,9 +40,13 @@ def test_step_tie_is_bad_input(capsys):
     assert code == 2
 
 
-def test_step_rejects_decimals(capsys):
+def test_step_rejects_decimals(capsys, caplog):
     code, _ = run_cli(capsys, "step", "0.6", "0.25", "0.15")
     assert code == 2
+    # a zero denominator is bad input too, not an invariant violation
+    code, out = run_cli(capsys, "step", "1/0", "1/2", "1/2")
+    assert (code, out) == (2, "")
+    assert "1/0" in caplog.text
 
 
 def test_step_accelerated(capsys):
@@ -186,6 +192,22 @@ def test_tail_without_fit_is_strict_json(capsys):
     assert doc["fit_points"] == 0
     assert doc["fitted_exponent"] is None
     assert doc["fit_residual"] is None
+    # the unfitted report keeps every key, in field order
+    assert list(doc) == [f.name for f in dataclasses.fields(TailCurve)] + ["provenance"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "balance", "--samples", "-5"),
+    ("verify", "--suite", "lemma3", "--samples", "-5"),
+    ("verify", "--suite", "kerckhoff", "--samples", "-5"),
+    ("tail", "--samples", "0"),
+    ("distortion", "--samples", "-5"),
+])
+def test_samples_below_one_rejected_before_work(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_tail_draw_cap_exits_budget(capsys):

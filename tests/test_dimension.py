@@ -265,7 +265,9 @@ def test_dimension_report_smoke():
         2.0 - min(report.delta_hat, report.alpha1_hat)
     )
     obj = report.to_json()
-    assert set(obj) >= {
+    assert list(obj) == [
         "delta_hat", "alpha1_hat", "ad_bound", "box_dim", "residuals",
-        "depths_used", "samples_used", "seeds",
-    }
+        "depths_used", "samples_used", "seeds", "counters", "timings", "notes",
+    ]
+    assert list(obj["residuals"]) == ["delta", "alpha1", "box"]
+    assert "heuristic" in obj["notes"]

@@ -87,6 +87,8 @@ def test_serialization_roundtrip():
 def test_parse_fraction_rejects_decimals():
     with pytest.raises(ValueError):
         parse_fraction("0.5")
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_fraction("1/0")
     assert parse_fraction("7/2") == F(7, 2)
     assert parse_fraction("3") == F(3)
 

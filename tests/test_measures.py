@@ -637,7 +637,12 @@ def test_tail_curve_fields_and_monotonicity():
     assert curve.fitted_exponent > 0
     assert curve.fit_residual < 0.1
     obj = curve.to_json()
-    assert set(obj) >= {"thresholds", "probabilities", "fitted_exponent", "fit_residual"}
+    assert list(obj) == [
+        "thresholds", "probabilities", "fitted_exponent", "fit_residual", "samples",
+        "no_return", "fit_points", "loop", "drawn", "fit_t_min", "fit_t_max",
+    ]
+    assert (obj["fitted_exponent"], obj["fit_residual"]) == (
+        curve.fitted_exponent, curve.fit_residual)
     csv = curve.to_csv().splitlines()
     assert csv[0] == "T,probability"
     assert len(csv) == len(curve.thresholds) + 1

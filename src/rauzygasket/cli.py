@@ -81,7 +81,9 @@ def _emit(obj) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --samples: an integer >= 1."""
+    """argparse type of the counts that must be at least 1 (--samples,
+    --workers, tail's --cap, the --iters of step and classify), so a
+    value below 1 exits 2 before any work."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -299,7 +301,7 @@ def cmd_verify(args) -> int:
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: RAUZY_SEED env var or 0)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("step", help="run induction steps on exact lengths")
     p.add_argument("lengths", nargs=3, help='three rationals "p/q" summing to 1')
-    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--iters", type=_positive_int, default=1)
     p.add_argument("--accelerated", action="store_true")
     p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("classify", help="probe thin type up to a depth")
     p.add_argument("lengths", nargs=3)
-    p.add_argument("--iters", type=int, default=50)
+    p.add_argument("--iters", type=_positive_int, default=50)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("graph", help="dump the induction graph")
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tail", help="first-return roof tail")
     p.add_argument("--loop", choices=sorted(NAMED_LOOPS), default="ccc")
     p.add_argument("--samples", type=_positive_int, default=10**5)
-    p.add_argument("--cap", type=int, default=10**4)
+    p.add_argument("--cap", type=_positive_int, default=10**4)
     p.add_argument("--t-grid", default=None, help="comma-separated thresholds")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)

@@ -49,6 +49,7 @@ import numpy as np
 
 from .graph import START, apply_kind
 from .induction import CYC, STAY, SWAP
+from .markov import _CLOUD_BLOCK, chaos_game
 # perfbench's Dimension.trace_targets looks up survivor_mass,
 # enumerate_cylinders, elementary_children, block_child and hole_mass_at
 # on this module by name, so a traced run fails if any of them goes
@@ -563,18 +564,23 @@ def _box_counts(pts: np.ndarray, levels: Sequence[int]) -> list[int]:
 
     Box indices are taken once, at the finest grid, and interleaved into
     Morton codes, so a box of a coarser grid k is a run of codes sharing
-    the top bits: one sort, then the distinct prefixes at each level."""
+    the top bits: one sort, then the distinct prefixes at each level.
+    The codes are computed ``_CLOUD_BLOCK`` points at a time into one
+    array, so the temporaries beside it have a fixed size whatever the
+    cloud."""
     finest = max(levels)
     if len(pts) == 0:
         return [0 for _ in levels]
     codes = np.zeros(len(pts), dtype=np.uint64)
-    for axis in (0, 1):
-        # a point exactly on a box boundary belongs to the lower-index box
-        idx = np.ceil(pts[:, axis] * 2.0**finest).astype(np.int64) - 1
-        np.maximum(idx, 0, out=idx)
-        if idx.max() >= 1 << 32:
-            raise ValueError("points lie too far outside [0, 1]^2 for the finest grid")
-        codes |= _spread_bits(idx) << np.uint64(axis)
+    for lo in range(0, len(pts), _CLOUD_BLOCK):
+        block = codes[lo:lo + _CLOUD_BLOCK]
+        for axis in (0, 1):
+            # a point exactly on a box boundary belongs to the lower-index box
+            idx = np.ceil(pts[lo:lo + _CLOUD_BLOCK, axis] * 2.0**finest).astype(np.int64) - 1
+            np.maximum(idx, 0, out=idx)
+            if idx.max() >= 1 << 32:
+                raise ValueError("points lie too far outside [0, 1]^2 for the finest grid")
+            block |= _spread_bits(idx) << np.uint64(axis)
     codes.sort()
     # the highest differing bit of two neighbours says up to which grid
     # they share a box
@@ -666,8 +672,6 @@ def dimension_report(
 
     As each stage ends, its wall time and counters go to the
     ``rauzygasket`` logger at DEBUG as one JSON line."""
-    from .markov import chaos_game
-
     timings = {}
     counters = {}
 

@@ -38,7 +38,8 @@ _CHAIN_BLOCK = 4096  # chaos-game chains per seed block; fixed so the
 # sample stream is independent of worker count
 _TILE = 64  # chaos-game output steps buffered before the chain-major copy
 _BURN_IN = 64  # chaos-game steps from the barycenter before output starts
-_RASTER_CHUNK = 1 << 20  # points counted per pass of rasterize
+_CLOUD_BLOCK = 1 << 15  # points per block of rasterize and box counting,
+# so their temporaries fit in cache whatever the cloud
 
 
 class TieOnBoundary(Exception):
@@ -364,19 +365,21 @@ def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
 
     Simplex vertices map to an equilateral triangle inscribed in the
     image; brightness is log(1 + hits) rescaled to 0..255.  Points are
-    counted ``_RASTER_CHUNK`` at a time, so the temporaries stay small.
+    counted ``_CLOUD_BLOCK`` at a time with ``np.add.at``, so the
+    temporaries have a fixed size whatever the cloud, and the work grows
+    with the point count, not with the pixel count.
     """
     points = np.asarray(points)
     counts = np.zeros(height * width, dtype=np.int64)
-    for lo in range(0, len(points), _RASTER_CHUNK):
-        lam1 = points[lo:lo + _RASTER_CHUNK, 0]
-        lam2 = points[lo:lo + _RASTER_CHUNK, 1]
+    for lo in range(0, len(points), _CLOUD_BLOCK):
+        lam1 = points[lo:lo + _CLOUD_BLOCK, 0]
+        lam2 = points[lo:lo + _CLOUD_BLOCK, 1]
         lam3 = 1.0 - lam1 - lam2
         x = lam2 + 0.5 * lam3
         y = (np.sqrt(3.0) / 2.0) * lam3
         xs = np.clip((x * (width - 1)).astype(np.int64), 0, width - 1)
         ys = np.clip((y / (np.sqrt(3.0) / 2.0) * (height - 1)).astype(np.int64), 0, height - 1)
-        counts += np.bincount((height - 1 - ys) * width + xs, minlength=height * width)
+        np.add.at(counts, (height - 1 - ys) * width + xs, 1)
     dens = np.log1p(counts.reshape(height, width))
     peak = dens.max()
     if peak > 0:

@@ -202,12 +202,23 @@ def test_tail_without_fit_is_strict_json(capsys):
     ("verify", "--suite", "kerckhoff", "--samples", "-5"),
     ("tail", "--samples", "0"),
     ("distortion", "--samples", "-5"),
+    ("tail", "--samples", "100", "--cap", "0"),
+    ("tail", "--samples", "100", "--workers", "-3"),
+    ("dimension", "--workers", "0"),
+    ("render", "--out", "never.pgm", "--workers", "0"),
+    ("points", "--out", "never.csv", "--workers", "-1"),
+    ("distortion", "--workers", "0"),
+    ("verify", "--suite", "partition", "--workers", "0"),
+    ("step", "1/2", "1/3", "1/6", "--iters", "0"),
+    ("classify", "1/2", "1/3", "1/6", "--iters", "-4"),
 ])
 def test_samples_below_one_rejected_before_work(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 1" in captured.err
 
 
 def test_tail_draw_cap_exits_budget(capsys):

@@ -13,6 +13,7 @@ from rauzygasket.markov import (
     HoleCell,
     MarkovCell,
     TieOnBoundary,
+    _CLOUD_BLOCK,
     accelerated_step_batch,
     apply_T,
     cell_of,
@@ -477,39 +478,61 @@ def test_rasterize_single_point():
 
 
 def _reference_raster(points, width, height):
-    """The raster counted point by point with ``np.add.at``."""
+    """The raster counted with ``np.unique`` over all pixel indices at once."""
     lam1, lam2 = points[:, 0], points[:, 1]
     lam3 = 1.0 - lam1 - lam2
     x = lam2 + 0.5 * lam3
     y = (np.sqrt(3.0) / 2.0) * lam3
     xs = np.clip((x * (width - 1)).astype(np.int64), 0, width - 1)
     ys = np.clip((y / (np.sqrt(3.0) / 2.0) * (height - 1)).astype(np.int64), 0, height - 1)
-    counts = np.zeros((height, width), dtype=np.int64)
-    np.add.at(counts, (height - 1 - ys, xs), 1)
-    dens = np.log1p(counts)
+    pixels, hits = np.unique((height - 1 - ys) * width + xs, return_counts=True)
+    counts = np.zeros(height * width, dtype=np.int64)
+    counts[pixels] = hits
+    dens = np.log1p(counts.reshape(height, width))
     dens = dens / dens.max()
     return (dens * 255.0 + 0.5).astype(np.uint8)
 
 
+_RASTER_SPECIAL = np.array([
+    [1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+    [0.5, 0.5], [0.5, 0.0], [0.0, 0.5], [0.25, 0.75], [0.0, 0.999],
+    [-0.5, 0.2], [1.5, -0.3], [0.7, 0.7], [-1.0, -1.0], [2.0, 2.0],
+])
+
+
 @pytest.mark.parametrize("width,height", [(96, 64), (64, 96), (64, 64)])
-def test_rasterize_matches_add_at_reference(width, height):
-    # more than 2**20 points, so the count crosses a chunk boundary, plus
-    # the vertices, edge points and points outside the simplex (clipped)
+def test_rasterize_matches_unique_reference(width, height):
+    # more than 2**20 points, so the count crosses many blocks, plus the
+    # vertices, edge points and points outside the simplex (clipped)
     rng = np.random.default_rng(5)
-    special = np.array([
-        [1.0, 0.0], [0.0, 1.0], [0.0, 0.0],
-        [0.5, 0.5], [0.5, 0.0], [0.0, 0.5], [0.25, 0.75], [0.0, 0.999],
-        [-0.5, 0.2], [1.5, -0.3], [0.7, 0.7], [-1.0, -1.0], [2.0, 2.0],
-    ])
     inside = chaos_game((1 << 20) + 1000, seed=3)
     outside = rng.uniform(-0.5, 1.5, size=(5000, 2))
-    pts = np.concatenate([special, inside[:1 << 19], special, inside[1 << 19:], outside])
+    pts = np.concatenate(
+        [_RASTER_SPECIAL, inside[:1 << 19], _RASTER_SPECIAL, inside[1 << 19:], outside])
     img = rasterize(pts, width, height)
     assert img.shape == (height, width)
     assert img.tobytes() == _reference_raster(pts, width, height).tobytes()
     one = np.array([[0.4, 0.3]])
     ref = _reference_raster(one, width, height)
     assert rasterize(one, width, height).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [_CLOUD_BLOCK - 1, _CLOUD_BLOCK, _CLOUD_BLOCK + 1])
+def test_rasterize_at_block_edges(n):
+    pts = chaos_game(n, seed=n)
+    # special points at the first and last index of each block
+    k = len(_RASTER_SPECIAL)
+    pts[:k] = _RASTER_SPECIAL
+    pts[min(n, _CLOUD_BLOCK) - k:min(n, _CLOUD_BLOCK)] = _RASTER_SPECIAL[::-1]
+    pts[-1] = _RASTER_SPECIAL[-1]
+    img = rasterize(pts, 96, 64)
+    assert img.tobytes() == _reference_raster(pts, 96, 64).tobytes()
+
+
+def test_rasterize_empty_cloud_is_black():
+    img = rasterize(np.empty((0, 2)), 96, 64)
+    assert img.shape == (64, 96) and img.dtype == np.uint8
+    assert not img.any()
 
 
 def test_raster_central_hole_is_empty():

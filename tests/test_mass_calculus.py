@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rauzygasket import dimension
 from rauzygasket.dimension import (
+    _box_counts,
     _exact_sum,
     _expand,
     _ratio_text,
@@ -27,6 +28,7 @@ from rauzygasket.dimension import (
 )
 from rauzygasket.graph import START, apply_kind, path_from_blocks
 from rauzygasket.induction import CYC, SWAP
+from rauzygasket.markov import _CLOUD_BLOCK
 from rauzygasket.measures import (
     block_child,
     cone_denominator,
@@ -314,6 +316,36 @@ def test_box_counts_match_per_level_unique():
     sizes = [2.0**-k for k in range(1, 13)]
     fit = box_counting(pts, sizes)
     assert fit.counts == _unique_counts(pts, sorted(sizes))
+
+
+def _block_edge_cloud(n):
+    """n points: uniform, with grid-edge points at the first and last
+    index of every block."""
+    rng = np.random.default_rng(n)
+    pts = rng.random((n, 2))
+    edges = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [3 / 4096, 1.0], [1.5, -0.5]])
+    for lo in range(0, n, _CLOUD_BLOCK):
+        hi = min(lo + _CLOUD_BLOCK, n)
+        pts[lo] = edges[(lo // _CLOUD_BLOCK) % len(edges)]
+        pts[hi - 1] = edges[(lo // _CLOUD_BLOCK + 2) % len(edges)]
+    return pts
+
+
+@pytest.mark.parametrize("n", [3 * _CLOUD_BLOCK - 1, 3 * _CLOUD_BLOCK, 3 * _CLOUD_BLOCK + 1])
+def test_box_counts_across_block_boundaries(n):
+    pts = _block_edge_cloud(n)
+    levels = [0, 2, 7, 12]
+    assert _box_counts(pts, levels) == _unique_counts(pts, [2.0**-k for k in levels])
+
+
+@pytest.mark.parametrize("n", [3 * _CLOUD_BLOCK - 1, 3 * _CLOUD_BLOCK, 3 * _CLOUD_BLOCK + 1])
+@pytest.mark.parametrize("bad", [[0.5, 2.0**21], [2.0**21, 0.5]])
+def test_box_counts_point_too_far_outside_in_last_block(n, bad):
+    pts = _block_edge_cloud(n)
+    assert _box_counts(pts, [12]) == _unique_counts(pts, [2.0**-12])
+    pts[-1] = bad
+    with pytest.raises(ValueError, match="too far outside"):
+        _box_counts(pts, [12])
 
 
 @pytest.mark.parametrize("sizes", [

@@ -82,19 +82,33 @@ def _emit(obj) -> None:
 
 def _positive_int(text: str) -> int:
     """argparse type of the counts that must be at least 1 (--samples,
-    --workers, tail's --cap, the --iters of step and classify), so a
-    value below 1 exits 2 before any work."""
+    --points, --workers, tail's --cap, the --iters of step and classify),
+    so a value below 1 exits 2 before any work."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of --seed, so a negative seed exits 2 before any
+    work; numpy would reject it only where the first generator is built."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _seed_of(args) -> int:
+    """--seed, else RAUZY_SEED, else 0; every command calls it before any
+    work, so a negative RAUZY_SEED exits 2 as early as a negative --seed."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("RAUZY_SEED")
-    return int(env) if env else 0
+    seed = int(env) if env else 0
+    if seed < 0:
+        raise ValueError(f"RAUZY_SEED must be >= 0, got {seed}")
+    return seed
 
 
 # --- step / classify -------------------------------------------------------
@@ -299,7 +313,7 @@ def cmd_verify(args) -> int:
 # --- parser --------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_non_negative_int, default=None,
                    help="RNG seed (default: RAUZY_SEED env var or 0)")
     p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -340,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accelerated depth for the fast-decay exponent")
     p.add_argument("--ncap", type=int, default=128)
     p.add_argument("--floor", default=None)
-    p.add_argument("--points", type=int, default=10**6)
+    p.add_argument("--points", type=_positive_int, default=10**6)
     _add_common(p)
     p.set_defaults(func=cmd_dimension)
 
@@ -354,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("render", help="rasterize the gasket to a PGM file")
-    p.add_argument("--points", type=int, default=10**6)
+    p.add_argument("--points", type=_positive_int, default=10**6)
     p.add_argument("--size", default="1024x1024",
                    help=f"WIDTHxHEIGHT, each side 64..{RENDER_MAX_SIDE}")
     p.add_argument("--out", required=True)
@@ -362,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("points", help="emit a chaos-game point cloud")
-    p.add_argument("--points", type=int, default=10**5)
+    p.add_argument("--points", type=_positive_int, default=10**5)
     p.add_argument("--format", choices=("csv", "bin"), default="csv")
     p.add_argument("--out", required=True)
     _add_common(p)

@@ -34,8 +34,9 @@ from .induction import CYC, SWAP, accelerated_matrix
 BOUNDARY_TOL = 1e-14
 POINTS_MAGIC = b"RGPTS001"
 
-_CHAIN_BLOCK = 4096  # chaos-game chains per seed block; fixed so the
-# sample stream is independent of worker count
+_CHAIN_BLOCK = 4096  # chaos-game chains advanced together; wide enough that
+# a step's numpy calls cost more than their interpreter overhead, and part
+# of the seeded stream, since it sets the shape of the draw array
 _TILE = 64  # chaos-game output steps buffered before the chain-major copy
 _BURN_IN = 64  # chaos-game steps from the barycenter before output starts
 _CLOUD_BLOCK = 1 << 15  # points per block of rasterize and box counting,
@@ -261,16 +262,16 @@ def chaos_game(
 
     Returns an (count, 2) array of (lambda1, lambda2) coordinates in the
     full (unsorted) simplex.  The stream is organized as fixed-size
-    independent chains, each burned in from the barycenter and seeded as
-    (seed, chain).  One move sets a uniformly drawn coordinate to 1 and
-    divides all three by their sum.
+    independent chains, each burned in from the barycenter.  One move sets
+    a uniformly drawn coordinate to 1 and divides all three by their sum.
 
-    The draws are stored step-major, one byte each, so a step reads one
-    contiguous row and advances three 1-D coordinate arrays.  Output
-    steps are buffered in a ``_TILE``-step tile and copied into the
-    chain-major result a tile at a time.  Memory: 16 bytes per point for
-    the result, one byte per step and chain for the draws (two while
-    they are transposed), and the fixed tile.
+    One generator, ``default_rng(seed)``, draws every move of the call
+    step-major as ``uint8``: row ``step`` holds that step's draw for each
+    chain, so a step reads one contiguous row and advances three 1-D
+    coordinate arrays.  Output steps are buffered in a ``_TILE``-step tile
+    and copied into the chain-major result a tile at a time.  Memory: 16
+    bytes per point for the result, one byte per step and chain for the
+    draws, and the fixed tile.
 
     All chains advance together on the calling thread: ``workers`` is
     accepted for a uniform call signature but unused, so the output
@@ -282,11 +283,7 @@ def chaos_game(
     per_chain = max(1, -(-count // _CHAIN_BLOCK))
     chains = -(-count // per_chain)
     steps = burn_in + per_chain
-    draws = np.empty((chains, steps), dtype=np.uint8)
-    for chain in range(chains):
-        rng = np.random.default_rng((seed, chain))
-        draws[chain] = rng.integers(0, 3, size=steps)
-    draws = np.ascontiguousarray(draws.T)
+    draws = np.random.default_rng(seed).integers(0, 3, size=(steps, chains), dtype=np.uint8)
     # lam[i] is coordinate i of every chain; lam.flat[i * chains + j] is
     # coordinate i of chain j
     lam = np.full((3, chains), 1.0 / 3.0)
@@ -313,10 +310,11 @@ def chaos_game(
 
 
 def chaos_game_exact(count: int, seed: int = 0) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Exact-rational chaos game (single chain, same per-chain seeding and
-    default burn-in as chain 0 of the float path)."""
-    rng = np.random.default_rng((seed, 0))
-    draws = rng.integers(0, 3, size=_BURN_IN + count)
+    """Exact-rational chaos game: one chain with the default burn-in,
+    drawing the moves a one-chain float game draws, so
+    ``chaos_game_exact(1, seed)`` is ``chaos_game(1, seed=seed)`` in exact
+    arithmetic."""
+    draws = np.random.default_rng(seed).integers(0, 3, size=_BURN_IN + count, dtype=np.uint8)
     lam = [Fraction(1, 3)] * 3
     points = []
     for step, w in enumerate(draws):
@@ -397,4 +395,4 @@ def write_pgm(image: np.ndarray, fh, provenance: Optional[dict] = None):
         items = " ".join(f"{k}={v}" for k, v in sorted(provenance.items()))
         fh.write(f"# {items}\n".encode())
     fh.write(f"{width} {height}\n255\n".encode())
-    fh.write(image.astype(np.uint8).tobytes())
+    fh.write(np.ascontiguousarray(image, dtype=np.uint8).data)

@@ -211,6 +211,13 @@ def test_tail_without_fit_is_strict_json(capsys):
     ("verify", "--suite", "partition", "--workers", "0"),
     ("step", "1/2", "1/3", "1/6", "--iters", "0"),
     ("classify", "1/2", "1/3", "1/6", "--iters", "-4"),
+    ("dimension", "--points", "0", "--depth", "14"),
+    ("render", "--out", "never.pgm", "--points", "-1"),
+    ("points", "--out", "never.csv", "--points", "0"),
+    ("dimension", "--seed", "-1", "--depth", "14"),
+    ("render", "--out", "never.pgm", "--seed", "-1"),
+    ("tail", "--samples", "100", "--seed", "-2"),
+    ("verify", "--suite", "partition", "--seed", "-1"),
 ])
 def test_samples_below_one_rejected_before_work(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -218,7 +225,27 @@ def test_samples_below_one_rejected_before_work(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be >= 1" in captured.err
+    assert ("must be >= 0" if "--seed" in argv else "must be >= 1") in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dimension", "--depth", "14"),
+    ("render", "--out", "never.pgm"),
+    ("points", "--out", "never.csv"),
+    ("tail", "--samples", "100"),
+])
+def test_negative_seed_env_rejected_before_work(capsys, caplog, monkeypatch, argv):
+    import rauzygasket.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a negative RAUZY_SEED must be rejected before any work")
+
+    for name in ("dimension_report", "chaos_game", "roof_tail"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setenv("RAUZY_SEED", "-1")
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "RAUZY_SEED must be >= 0, got -1" in caplog.text
 
 
 def test_tail_draw_cap_exits_budget(capsys):

@@ -13,6 +13,7 @@ from rauzygasket.markov import (
     HoleCell,
     MarkovCell,
     TieOnBoundary,
+    _BURN_IN,
     _CLOUD_BLOCK,
     accelerated_step_batch,
     apply_T,
@@ -27,6 +28,7 @@ from rauzygasket.markov import (
     sample_sorted_simplex,
     write_points_binary,
     write_points_csv,
+    write_pgm,
 )
 
 
@@ -403,11 +405,9 @@ def test_chaos_game_deterministic_and_worker_independent():
     assert not np.array_equal(a[:1000], d)
 
 
-def _reference_chain(chain, per_chain, burn_in, seed):
-    """One chain of the chaos game, drawn and advanced one scalar at a
-    time: its own generator, the same draw call, a plain Python update."""
-    rng = np.random.default_rng((seed, chain))
-    draws = rng.integers(0, 3, size=burn_in + per_chain)
+def _scalar_game(draws, burn_in):
+    """The float chaos game on given draws, one plain Python update per
+    step in the ``(l0 + l1) + l2`` order."""
     lam = [1.0 / 3.0] * 3
     out = []
     for step, w in enumerate(draws.tolist()):
@@ -417,6 +417,14 @@ def _reference_chain(chain, per_chain, burn_in, seed):
         if step >= burn_in:
             out.append((lam[0], lam[1]))
     return np.array(out)
+
+
+def _reference_chain(chain, chains, per_chain, burn_in, seed):
+    """One chain of the chaos game, advanced one scalar at a time on
+    column ``chain`` of the call's single step-major draw."""
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, 3, size=(burn_in + per_chain, chains), dtype=np.uint8)
+    return _scalar_game(draws[:, chain], burn_in)
 
 
 @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 4096 * 65 + 3])
@@ -431,9 +439,24 @@ def test_chaos_game_matches_scalar_reference(count, burn_in):
     for chain in sorted({0, 1, chains - 1}):
         if chain >= chains:
             continue
-        ref = _reference_chain(chain, per_chain, burn_in, 11)
+        ref = _reference_chain(chain, chains, per_chain, burn_in, 11)
         got = pts[chain * per_chain:(chain + 1) * per_chain]
         assert got.tobytes() == ref[:len(got)].tobytes(), chain
+
+
+@pytest.mark.parametrize("seed", [0, 1, 6, 11, 2**40])
+def test_chaos_game_exact_draws_the_one_chain_float_game(seed):
+    (got,) = chaos_game(1, seed=seed)
+    (lam,) = chaos_game_exact(1, seed=seed)
+    assert np.allclose(got, [float(lam[0]), float(lam[1])], rtol=0, atol=1e-12)
+    # past one point the float game has more than one chain, so the exact
+    # game is compared with the scalar float update on its own draws
+    draws = np.random.default_rng(seed).integers(0, 3, size=_BURN_IN + 100, dtype=np.uint8)
+    exact = chaos_game_exact(100, seed=seed)
+    ref = _scalar_game(draws, _BURN_IN)
+    assert len(exact) == len(ref) == 100
+    exact = np.array([[float(a), float(b)] for a, b, _ in exact])
+    assert np.allclose(ref, exact, rtol=0, atol=1e-12)
 
 
 def test_chaos_game_exact_points_survive_ten_steps():
@@ -459,6 +482,21 @@ def test_points_binary_roundtrip():
     buf.seek(0)
     back = read_points_binary(buf)
     assert np.array_equal(back, pts)
+
+
+def test_write_pgm_payload_is_the_uint8_image():
+    pixels = np.random.default_rng(3).integers(0, 256, (128, 160))
+    for image in (
+        pixels.astype(np.uint8),  # C-contiguous uint8
+        pixels.astype(np.uint8)[::2, 1::2],  # strided view
+        pixels.astype(np.uint8).T,  # Fortran-ordered view
+        pixels,  # int64
+        pixels + 0.25,  # float64, truncated by the cast
+    ):
+        buf = io.BytesIO()
+        write_pgm(image, buf, provenance={"seed": 0})
+        header = b"P5\n# seed=0\n%d %d\n255\n" % (image.shape[1], image.shape[0])
+        assert buf.getvalue() == header + image.astype(np.uint8).tobytes()
 
 
 def test_points_csv_format():

@@ -101,11 +101,17 @@ def _non_negative_int(text: str) -> int:
 
 def _seed_of(args) -> int:
     """--seed, else RAUZY_SEED, else 0; every command calls it before any
-    work, so a negative RAUZY_SEED exits 2 as early as a negative --seed."""
+    work, so a RAUZY_SEED that is not an integer >= 0 exits 2 as early as
+    a negative --seed."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("RAUZY_SEED")
-    seed = int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ValueError(f"RAUZY_SEED must be an integer >= 0, got {env!r}") from None
     if seed < 0:
         raise ValueError(f"RAUZY_SEED must be >= 0, got {seed}")
     return seed

@@ -22,16 +22,17 @@ below).  ``survivor_sweep``, ``fast_decay_estimate`` and ``depth_totals``
 walk the tree with one generator, ``_descend``: it expands chunks of at
 most ``_CELL_BUDGET`` cells (nodes x counters) in one numpy broadcast each,
 depth first over the chunks, so the nodes it holds grow linearly in
-depth.  The sweep keeps only exact partial sums; the accelerated walks
-also keep the denominators they sum, most of them the branches and holes
-of the last level.  ``enumerate_cylinders`` runs the same block
-arithmetic one node at a time and streams its records depth first, in
-O(depth) memory, in the order the ``cylinders`` command prints; it is the
-reference the chunked walk is tested against.  Each walk picks its array
-dtype once, from a bound on the weights it can reach: int64 when every
-denominator is below 2^53, where numpy's ``d0 / D`` is the correctly
-rounded quotient, as Python's int / int is; otherwise object arrays of
-Python ints.
+depth.  The sweep keeps only exact partial sums, one term per expanded
+node, since a node's three children have one closed-form total mass;
+the accelerated walks also keep the denominators they sum, most of them
+the branches and holes of the last level.  ``enumerate_cylinders`` runs
+the same block arithmetic one node at a time and streams its records
+depth first, in O(depth) memory, in the order the ``cylinders`` command
+prints; it is the reference the chunked walk is tested against.  Each
+walk picks its array dtype once, from a bound on the weights it can
+reach: int64 when every denominator is below 2^53, where numpy's
+``d0 / D`` is the correctly rounded quotient, as Python's int / int is;
+otherwise object arrays of Python ints.
 """
 
 from __future__ import annotations
@@ -387,7 +388,10 @@ def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> Sur
     The elementary tree is the accelerated tree at counter cap 1 with the
     cell still leading kept as a node (kind STAY), so the sweep is
     ``_descend`` with one counter: each level's exact mass is the sum of
-    its chunks' partial sums.
+    its chunks' partial sums.  A node's three children have the mass
+    d0 / (l a (a + b)) together (see ``_expand``), so a chunk adds one
+    term per expanded node to the next level's mass; only the children
+    below the floor are summed one by one.
     """
     if max_depth < 0:
         raise ValueError("depth must be >= 0")
@@ -399,11 +403,12 @@ def survivor_sweep(max_depth: int, measure_floor: Fraction = Fraction(0)) -> Sur
     nodes = 1
     one = np.ones(1, dtype=walk.dtype)
     for level, blocks in _descend(walk, max_depth if root_kept else 0, one, kinds):
-        for kind in kinds:  # a sum per kind has at most a chunk of terms
-            d = blocks.den(kind).ravel()
-            nodes += d.size
-            mass[level + 1] += _exact_sum(walk.d0, d)
-            pruned[level + 1] += _exact_sum(walk.d0, d[d > walk.cut])
+        # l a (a + b) is below the still-leading child's D, so int64 holds it
+        a = blocks.second
+        mass[level + 1] += _exact_sum(walk.d0, (blocks.lead * a * (a + blocks.third)).ravel())
+        nodes += len(kinds) * a.size
+        below = [d[d > walk.cut] for d in map(blocks.den, kinds)]
+        pruned[level + 1] += _exact_sum(walk.d0, np.concatenate(below))
     # pruned mass is unresolved at every deeper level
     unresolved = accumulate(pruned, initial=Fraction(0))
     return SurvivorSweep(brackets=[(lo, lo + u) for lo, u in zip(mass, unresolved)], nodes=nodes)

@@ -365,7 +365,10 @@ def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
     image; brightness is log(1 + hits) rescaled to 0..255.  Points are
     counted ``_CLOUD_BLOCK`` at a time with ``np.add.at``, so the
     temporaries have a fixed size whatever the cloud, and the work grows
-    with the point count, not with the pixel count.
+    with the point count, not with the pixel count.  The brightness is
+    written into the image a band of about ``_CLOUD_BLOCK`` pixels at a
+    time, so the call holds the counts and the image and no full-size
+    float raster.
     """
     points = np.asarray(points)
     counts = np.zeros(height * width, dtype=np.int64)
@@ -378,13 +381,18 @@ def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
         xs = np.clip((x * (width - 1)).astype(np.int64), 0, width - 1)
         ys = np.clip((y / (np.sqrt(3.0) / 2.0) * (height - 1)).astype(np.int64), 0, height - 1)
         np.add.at(counts, (height - 1 - ys) * width + xs, 1)
-    dens = np.log1p(counts.reshape(height, width))
-    peak = dens.max()
-    if peak > 0:
-        dens /= peak
-    dens *= 255.0
-    dens += 0.5
-    return dens.astype(np.uint8)
+    counts = counts.reshape(height, width)
+    peak = np.log1p(counts.max())  # the brightest pixel, as log1p is monotone
+    image = np.empty((height, width), dtype=np.uint8)
+    rows = max(1, _CLOUD_BLOCK // width)
+    for lo in range(0, height, rows):
+        dens = np.log1p(counts[lo:lo + rows])
+        if peak > 0:
+            dens /= peak
+        dens *= 255.0
+        dens += 0.5
+        image[lo:lo + rows] = dens
+    return image
 
 
 def write_pgm(image: np.ndarray, fh, provenance: Optional[dict] = None):

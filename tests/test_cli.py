@@ -238,7 +238,7 @@ def test_negative_seed_env_rejected_before_work(capsys, caplog, monkeypatch, arg
     import rauzygasket.cli as cli
 
     def never(*args, **kwargs):
-        raise AssertionError("a negative RAUZY_SEED must be rejected before any work")
+        raise AssertionError("a bad RAUZY_SEED must be rejected before any work")
 
     for name in ("dimension_report", "chaos_game", "roof_tail"):
         monkeypatch.setattr(cli, name, never)
@@ -246,6 +246,12 @@ def test_negative_seed_env_rejected_before_work(capsys, caplog, monkeypatch, arg
     code, out = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "RAUZY_SEED must be >= 0, got -1" in caplog.text
+    for value in ("abc", "1.5", "1e3"):
+        caplog.clear()
+        monkeypatch.setenv("RAUZY_SEED", value)
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"RAUZY_SEED must be an integer >= 0, got '{value}'" in caplog.text
 
 
 def test_tail_draw_cap_exits_budget(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from rauzygasket import markov
 from rauzygasket.induction import AcceleratedStep, accelerated_step, make_system
 from rauzygasket.markov import (
     BOUNDARY_TOL,
@@ -516,7 +517,9 @@ def test_rasterize_single_point():
 
 
 def _reference_raster(points, width, height):
-    """The raster counted with ``np.unique`` over all pixel indices at once."""
+    """The raster counted with ``np.unique`` over all pixel indices at once
+    and brightened as ``rasterize`` was before its row bands: the whole
+    float64 log density at once, its maximum as the peak."""
     lam1, lam2 = points[:, 0], points[:, 1]
     lam3 = 1.0 - lam1 - lam2
     x = lam2 + 0.5 * lam3
@@ -527,8 +530,12 @@ def _reference_raster(points, width, height):
     counts = np.zeros(height * width, dtype=np.int64)
     counts[pixels] = hits
     dens = np.log1p(counts.reshape(height, width))
-    dens = dens / dens.max()
-    return (dens * 255.0 + 0.5).astype(np.uint8)
+    peak = dens.max()
+    if peak > 0:
+        dens /= peak
+    dens *= 255.0
+    dens += 0.5
+    return dens.astype(np.uint8)
 
 
 _RASTER_SPECIAL = np.array([
@@ -571,6 +578,27 @@ def test_rasterize_empty_cloud_is_black():
     img = rasterize(np.empty((0, 2)), 96, 64)
     assert img.shape == (64, 96) and img.dtype == np.uint8
     assert not img.any()
+
+
+def _pgm(image):
+    buf = io.BytesIO()
+    write_pgm(image, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("band", [_CLOUD_BLOCK, 7 * 96, 5 * 96 + 1, 1])
+@pytest.mark.parametrize("points", [
+    np.empty((0, 2)),  # peak 0: every pixel stays 0
+    np.array([[0.4, 0.3]]),  # peak log 2
+    _RASTER_SPECIAL,
+    chaos_game(5000, seed=8),
+], ids=["empty", "one", "special", "cloud"])
+def test_banded_raster_matches_the_full_raster(monkeypatch, band, points):
+    # bands of whole rows, of rows with a short last band, and of one row
+    monkeypatch.setattr(markov, "_CLOUD_BLOCK", band)
+    for width, height in ((96, 64), (64, 96), (300, 200)):
+        want = _pgm(_reference_raster(points, width, height))
+        assert _pgm(rasterize(points, width, height)) == want
 
 
 def test_raster_central_hole_is_empty():

@@ -4,6 +4,7 @@ references written here."""
 
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from rauzygasket import dimension
 from rauzygasket.dimension import (
     _box_counts,
+    _descend,
     _exact_sum,
     _expand,
     _ratio_text,
@@ -27,9 +29,10 @@ from rauzygasket.dimension import (
     survivor_sweep,
 )
 from rauzygasket.graph import START, apply_kind, path_from_blocks
-from rauzygasket.induction import CYC, SWAP
+from rauzygasket.induction import CYC, STAY, SWAP
 from rauzygasket.markov import _CLOUD_BLOCK
 from rauzygasket.measures import (
+    Q_ONES,
     block_child,
     cone_denominator,
     cylinder_measure,
@@ -83,6 +86,24 @@ def test_hole_and_cap_terms_match_reference_forms(q, order, k):
     assert F(d_node, after) == running_mass(q, order, k)
     assert F(d_node, swap) == block_child(q, order, k, SWAP)[0]
     assert F(d_node, cyc) == block_child(q, order, k, CYC)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.tuples(*[st.integers(1, 10**3)] * 3), n=st.integers(1, 200), big=WEIGHTS)
+@example(w=(1, 1, 1), n=1, big=(1, 1, 1))
+@example(w=(10**3, 10**3, 10**3), n=200, big=(10**6, 10**6, 10**6))
+def test_three_children_sum_to_one_term(w, n, big):
+    # int64 on weights up to 10^3, whose denominators stay below 2^55 at
+    # n <= 200; Python ints also past 2^63
+    for dtype, weights in ((np.int64, w), (object, w), (object, tuple(x * 10**15 for x in big))):
+        cells = _expand(np.array([weights], dtype=dtype), np.array([n], dtype=dtype))
+        lead, a, b, after, swap, cyc, hole = (int(x[0, 0]) for x in cells)
+        together = lead * a * (a + b)
+        assert together < after  # so an int64 walk holds it
+        assert F(1, after) + F(1, swap) + F(1, cyc) == F(1, together)
+        if n == 1:  # the hole is the rest of the node's mass
+            d_node = cone_denominator(weights, (1, 2, 3))
+            assert F(1, d_node) - F(1, together) == F(1, hole)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,6 +208,37 @@ def test_chunked_sweep_matches_one_chunk_per_level(monkeypatch, floor):
     assert got.brackets[:7] == [_brute_bracket(d, floor) for d in range(7)]
     assert repr(fast_decay_estimate(2, n_cap=48, measure_floor=floor)) == repr(fit)
     assert depth_totals(3, n_cap=3, measure_floor=floor) == totals
+
+
+def _per_child_sweep(max_depth, floor):
+    """``survivor_sweep`` with every child of every expanded node summed on
+    its own, kind by kind."""
+    walk = _walk(Q_ONES, START, max_depth, 1, floor)
+    kinds = (STAY, SWAP, CYC)
+    root_kept = walk.d0 <= walk.cut
+    mass = [F(1)] + [F(0)] * max_depth
+    pruned = [F(0 if root_kept else 1)] + [F(0)] * max_depth
+    nodes = 1
+    one = np.ones(1, dtype=walk.dtype)
+    for level, blocks in _descend(walk, max_depth if root_kept else 0, one, kinds):
+        for kind in kinds:
+            d = blocks.den(kind).ravel()
+            nodes += d.size
+            mass[level + 1] += _exact_sum(walk.d0, d)
+            pruned[level + 1] += _exact_sum(walk.d0, d[d > walk.cut])
+    unresolved = accumulate(pruned, initial=F(0))
+    return [(lo, lo + u) for lo, u in zip(mass, unresolved)], nodes
+
+
+# the brackets widen from depth 3 at floors 1/20 and 3/20, from depth 6 at
+# 1/10^4; floors 1 and 2 prune the root's children and the root itself
+@pytest.mark.parametrize("floor", [F(0), F(1, 10**4), F(1, 20), F(3, 20), F(1), F(2)])
+@pytest.mark.parametrize("budget", [dimension._CELL_BUDGET, 7])
+def test_sweep_matches_per_child_sums(monkeypatch, floor, budget):
+    monkeypatch.setattr(dimension, "_CELL_BUDGET", budget)
+    for depth in range(9):
+        sweep = survivor_sweep(depth, floor)
+        assert (sweep.brackets, sweep.nodes) == _per_child_sweep(depth, floor)
 
 
 def test_sweep_of_depth_zero_and_a_root_below_the_floor():

@@ -45,7 +45,6 @@ from .markov import (
     KIND_CODE,
     ChartPoint,
     HoleCell,
-    _counter_batch,
     _step,
     accelerated_step_batch,
     sample_sorted_simplex,
@@ -214,18 +213,31 @@ def mc_kerckhoff(
     its start' while a single winner persists, for unit weights q, over
     Lebesgue-uniform starts.  The bound to compare against is 1/t (per
     coordinate; with unit weights the two loser coordinates coincide);
-    below t = 1 the bound is vacuous and the frequency just stays <= 1."""
+    below t = 1 the bound is vacuous and the frequency just stays <= 1.
+
+    Each win adds the winner's unit weight to both losers, so a sample's
+    ratio is 1.0 + wins, where the leader of counter n wins n times if
+    rem = a - n s > 0 and n - 1 times if not.  The ratio only meets one t:
+    with k the fewest wins such that 1.0 + k > t, the event is wins >= k,
+    which holds exactly when a - k s >= b, or a - k s > 0 and
+    a - (k - 1) s >= b.  Those are the float expressions that the counter
+    compares, so two comparisons per sample give the count without a
+    counter, a remainder or a ratio.  A NaN t raises ValueError; t = +inf
+    gives 0.0 and t = -inf gives 1.0.
+    """
+    if math.isnan(t):
+        raise ValueError(f"Kerckhoff threshold t = {t} must not be NaN")
+    if math.isinf(t):
+        return 0.0 if t > 0 else 1.0
+    # below 2**53 every 1.0 + k is exact; above it no sample wins that often
+    k = max(0, math.floor(t))
 
     def block(i: int, size: int) -> int:
         rng = np.random.default_rng((seed, _TAG_KERCKHOFF, i))
         a, b = sample_sorted_simplex(rng, size)
         s = 1.0 - a
-        n = _counter_batch(a, b, s)
-        rem = a - n * s
-        wins = np.where(rem > 0, n, n - 1)
-        # each win adds the winner's unit weight to both losers
-        ratio = 1.0 + wins
-        return int(np.count_nonzero(ratio > t))
+        rem = a - k * s
+        return int(np.count_nonzero((rem >= b) | ((rem > 0) & (a - (k - 1) * s >= b))))
 
     hits = _run_blocks(block, _blocks(samples), workers)
     return sum(hits) / samples
@@ -252,8 +264,11 @@ def mc_balance(
     ``_BALANCE_MAX_STEPS`` steps.
 
     A block is walked as ``_first_returns`` walks its points, with the
-    weights and letters by rank, leader first, and one compaction per
-    step, on ``alive & ~complete``.
+    weights and letters as three rows by rank, leader first, and one
+    compaction per step, on ``alive & ~complete``.  After a step the old
+    rank 1 leads, and the cyc ending (x0, x1, x2) -> (x1, x2, x0) differs
+    from the swap ending (x1, x0, x2) only in the last two ranks, so two
+    ``np.where`` per row set move the ranks.
     """
     cs = [float(c) for c in c_grid]
     if any(c <= 1 for c in cs):
@@ -262,26 +277,29 @@ def mc_balance(
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_BALANCE, i))
         a, b = sample_sorted_simplex(rng, size)
-        weights = np.ones((3, size))  # by rank
-        letters = np.tile(np.arange(3)[:, None], (1, size))  # letter index at each rank
-        won = np.zeros(size, dtype=np.int64)
+        weights = tuple(np.ones((3, size)))  # by rank
+        letters = tuple(np.arange(3, dtype=np.uint8)[:, None].repeat(size, axis=1))
+        won = np.zeros(size, dtype=np.uint8)  # bit j: letter j has won
         done_max = []
         for _ in range(_BALANCE_MAX_STEPS):
             if not a.size:
                 break
             a, b, n, kind, _, alive = accelerated_step_batch(a, b)
             won |= 1 << letters[0]
-            weights[1:] += n * weights[0]
+            gain = n * weights[0]
+            for w in weights[1:]:
+                w += gain
             cyc = kind == KIND_CODE[CYC]
             weights, letters = (
-                np.where(cyc, *(np.stack(apply_kind(tuple(x), k)) for k in (CYC, SWAP)))
+                (x[1], np.where(cyc, x[2], x[0]), np.where(cyc, x[0], x[2]))
                 for x in (weights, letters)
             )
             complete = alive & (won == 0b111)
-            done_max.append(weights.compress(complete, axis=1).max(axis=0))
+            done_max.append(np.maximum(np.maximum(weights[0], weights[1]),
+                                       weights[2]).compress(complete))
             keep = alive & ~complete
             a, b, won = (v.compress(keep) for v in (a, b, won))
-            weights, letters = (v.compress(keep, axis=1) for v in (weights, letters))
+            weights, letters = (tuple(v.compress(keep) for v in x) for x in (weights, letters))
         mx = np.concatenate(done_max)
         return mx, size - mx.size
 
@@ -538,25 +556,54 @@ def _first_returns(a, b, tokens: list, cap: int):
     Returns (index, roofs, lost): the index into (a, b) of each point that
     returns within ``cap`` steps past the loop, and its roof, in the order
     of return (by step, then by index); and the number of points lost to
-    holes or to the cap.  Each step runs the loop matcher on every point,
-    dead ones included, then compacts the arrays once, on
+    holes, to the cap or outside the cylinder.
+
+    The first L steps are the loop's own blocks, so they take each block's
+    known branch (n, kind): D = a - (n-1) s, rem = a - n s and the image
+    (b / D, c / D) after a cyc ending or (b / D, rem / D) after a swap, the
+    floats that ``accelerated_step_batch`` computes there, without its
+    counter.  A point whose float arithmetic leaves that
+    branch (rem >= b, rem <= 0, the other ending, or D < b when n > 1) is
+    outside the cylinder, where ``first_return`` raises OutsideCylinder,
+    and counts as lost; the arrays are compacted once, after those steps.
+    Each later step runs ``accelerated_step_batch`` and the loop matcher on
+    every point, dead ones included, then compacts the arrays once, on
     ``alive & ~returned``.  A dead point still has D >= b > 0, so its
     -log D is finite junk that the compaction drops.
     """
     L = len(tokens)
     symbols, nxt, hit = _loop_automaton(tokens)
+    inside = np.ones(a.size, dtype=bool)
+    cum = 0.0
+    ring = np.empty((L, a.size))  # the last L roof increments
+    state = 0
+    # an outside point's junk may be negative or NaN: its D has no log
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m, (n, kind) in enumerate(tokens):
+            s = 1.0 - a
+            c = s - b
+            rem = a - n * s
+            d = a - (n - 1) * s
+            cyc = kind == CYC
+            inside &= (rem < b) & (rem > 0) & ((rem <= c) if cyc else (rem > c))
+            if n > 1:
+                inside &= d >= b
+            ring[m] = -np.log(d)
+            cum = cum + ring[m]
+            a, b = b / d, (c if cyc else rem) / d
+            state = nxt[state, symbols.index((n, kind)) + 1]
+    index = np.flatnonzero(inside)
+    lost = a.size - index.size
+    a, b, cum = (v.compress(inside) for v in (a, b, cum))
+    ring = ring.compress(inside, axis=1)
+    state = np.full(a.size, state)
     width = nxt.shape[1]
     nxt, hit = nxt.ravel(), hit.ravel()
-    index = np.arange(a.size)
-    state = np.zeros(a.size, dtype=np.int64)
-    cum = np.zeros(a.size)
-    ring = np.zeros((L, a.size))  # the last L roof increments
     found_index = []
     found_roofs = []
-    lost = 0
-    m = 0
-    while a.size:
-        m += 1
+    for m in range(L + 1, L + cap + 1):
+        if not a.size:
+            break
         a, b, n, kind, d, alive = accelerated_step_batch(a, b)
         inc = -np.log(d)
         cum = cum + inc
@@ -564,18 +611,16 @@ def _first_returns(a, b, tokens: list, cap: int):
         at = state * width  # flat index of (state, class) in the tables
         for x, (sym_n, sym_kind) in enumerate(symbols, start=1):
             at += x * ((n == sym_n) & (kind == KIND_CODE[sym_kind]))
-        ret = hit[at] & alive & (m - L >= 1)
+        ret = hit[at] & alive
         state = nxt[at]
         if ret.any():
             found_index.append(index[ret])
             found_roofs.append(cum[ret] - ring[:, ret].sum(axis=0))
         keep = alive & ~ret
         lost += int(np.count_nonzero(~alive))
-        if m - L >= cap:
-            lost += int(np.count_nonzero(keep))
-            break
         a, b, index, state, cum = (v.compress(keep) for v in (a, b, index, state, cum))
         ring = ring.compress(keep, axis=1)
+    lost += a.size  # still running at the cap
     if not found_roofs:
         return np.empty(0, dtype=np.int64), np.empty(0), lost
     return np.concatenate(found_index), np.concatenate(found_roofs), lost
@@ -600,12 +645,13 @@ def return_roofs(
     the draw cap is reached; almost every uniform point eventually falls
     into a hole, so the returning fraction is well below 1 and is part
     of the measured statistics.  Returns (roof values, points drawn,
-    points lost to holes or the depth cap); fewer than ``samples`` roof
-    values means the draw cap stopped the run.  Bit-identical for any
-    worker count.
+    points lost to holes, the depth cap or float rounding out of the
+    cylinder); fewer than ``samples`` roof values means the draw cap
+    stopped the run.  Bit-identical for any worker count.
 
-    Each block runs ``_first_returns``, which compacts its arrays once per
-    accelerated step.  As each round of blocks ends, the totals so far
+    Each block runs ``_first_returns``, which walks the loop's own blocks
+    without the counter and then compacts its arrays once per accelerated
+    step.  As each round of blocks ends, the totals so far
     (``drawn``, ``returns``, ``lost``) and the round's wall time go to the
     ``rauzygasket`` logger at DEBUG as one JSON line.
     """

@@ -19,6 +19,7 @@ from rauzygasket.markov import (
     ChartPoint,
     MarkovCell,
     TieOnBoundary,
+    _counter_batch,
     accelerated_step_batch,
     apply_T,
     branch_preimage,
@@ -34,7 +35,9 @@ from rauzygasket.measures import (
     ReturnRecord,
     _BALANCE_MAX_STEPS,
     _TAG_BALANCE,
+    _TAG_KERCKHOFF,
     _as_blocks,
+    _blocks,
     _first_returns,
     _loop_automaton,
     block_child,
@@ -319,6 +322,38 @@ def test_kerckhoff_worker_independent():
     assert a == b
 
 
+def _kerckhoff_reference(t, samples, seed):
+    """``mc_kerckhoff`` block by block the long way: the counter, the
+    remainder and the wins of every sample, then ``1.0 + wins > t``."""
+    hits = 0
+    for i, size in _blocks(samples):
+        a, b = sample_sorted_simplex(np.random.default_rng((seed, _TAG_KERCKHOFF, i)), size)
+        s = 1.0 - a
+        n = _counter_batch(a, b, s)
+        rem = a - n * s
+        wins = np.where(rem > 0, n, n - 1)
+        hits += int(np.count_nonzero(1.0 + wins > t))
+    return hits / samples
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.0 + 1e-9, 1.5, 2.0, 2.5, 3.0, 10.0, 100.0])
+def test_kerckhoff_fewest_wins_matches_counter_reference(t, seed):
+    samples = 3 * (1 << 16) + 5  # the last block is partial
+    assert mc_kerckhoff(t, samples=samples, seed=seed) == _kerckhoff_reference(t, samples, seed)
+
+
+def test_kerckhoff_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="t = nan"):
+        mc_kerckhoff(math.nan, samples=100)
+
+
+@pytest.mark.parametrize("t, expected", [(math.inf, 0.0), (-math.inf, 1.0)])
+def test_kerckhoff_infinite_threshold(t, expected):
+    assert mc_kerckhoff(t, samples=100) == expected
+    assert _kerckhoff_reference(t, 100, 0) == expected
+
+
 # --- balance ---------------------------------------------------------------------------
 
 def test_balance_monotone_and_witness():
@@ -584,12 +619,16 @@ def test_vectorized_first_returns_match_scalar_first_return(loop, cap):
     x, y = sample_sorted_simplex(rng, 500)
     for n, kind in reversed(blocks * 2):
         x, y = branch_preimage(n, kind, x, y, 1.0 - x - y)
-    a, b = np.concatenate([a, x]), np.concatenate([b, y])
+    # and points that take (2, swap) before the loop twice: outside the
+    # cylinder, however soon the loop follows
+    u, v = branch_preimage(2, SWAP, x, y, 1.0 - x - y)
+    a, b = np.concatenate([a, x, u]), np.concatenate([b, y, v])
     index, roofs, lost = _first_returns(a, b, blocks, cap)
     assert index.size + lost == a.size and np.unique(index).size == index.size
     returned = dict(zip(index.tolist(), roofs.tolist()))
     if cap >= len(blocks):
         assert set(range(2000, 2500)) <= set(returned)
+    assert not set(range(2500, 3000)) & set(returned)
     outcomes = {ReturnRecord: 0, NoReturn: 0, OutsideCylinder: 0}
     for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
         try:

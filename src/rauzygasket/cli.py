@@ -61,7 +61,7 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 
-RENDER_MAX_SIDE = 8192  # the raster takes about 17 bytes per pixel
+RENDER_MAX_SIDE = 8192  # the raster takes about 9 bytes per pixel
 
 
 def _provenance(args, seed=None) -> dict:

@@ -169,6 +169,10 @@ _BLOCK = 1 << 16
 
 
 def _blocks(samples: int):
+    """(index, size) of the fixed-size blocks of ``samples`` draws;
+    ValueError unless samples >= 1."""
+    if samples < 1:
+        raise ValueError(f"samples = {samples} must be >= 1")
     full, rem = divmod(samples, _BLOCK)
     sizes = [_BLOCK] * full + ([rem] if rem else [])
     return list(enumerate(sizes))
@@ -191,16 +195,26 @@ _TAG_BALANCE = 2
 _TAG_TAIL = 3
 
 
+def _fewest_wins(t: float) -> Optional[int]:
+    """The fewest wins k of the leader whose ratio 1 + k strictly exceeds
+    t, or None for t = +inf, which no ratio exceeds.  A NaN t raises
+    ValueError."""
+    if math.isnan(t):
+        raise ValueError(f"Kerckhoff threshold t = {t} must not be NaN")
+    if math.isinf(t):
+        return None if t > 0 else 0
+    return max(0, math.floor(t))
+
+
 def kerckhoff_exact_probability(t: float) -> Fraction:
     """Exact probability, for unit weights, that a coordinate ratio
     exceeds t during one maximal run of the leader (used as a test oracle
-    and to report margins)."""
-    if t < 1:
-        return Fraction(1)
-    k = math.ceil(t - 1)
-    if k + 1 <= t:  # ratio k+1 must strictly exceed t
-        k += 1
-    return Fraction(3, (k + 1) ** 2)
+    and to report margins).  The leader of counter n wins at least k times
+    with probability 3 / (k + 1)^2 for k >= 1."""
+    k = _fewest_wins(t)
+    if k is None:
+        return Fraction(0)
+    return Fraction(1) if k == 0 else Fraction(3, (k + 1) ** 2)
 
 
 def mc_kerckhoff(
@@ -225,12 +239,11 @@ def mc_kerckhoff(
     counter, a remainder or a ratio.  A NaN t raises ValueError; t = +inf
     gives 0.0 and t = -inf gives 1.0.
     """
-    if math.isnan(t):
-        raise ValueError(f"Kerckhoff threshold t = {t} must not be NaN")
-    if math.isinf(t):
-        return 0.0 if t > 0 else 1.0
+    blocks = _blocks(samples)
     # below 2**53 every 1.0 + k is exact; above it no sample wins that often
-    k = max(0, math.floor(t))
+    k = _fewest_wins(t)
+    if k is None:
+        return 0.0
 
     def block(i: int, size: int) -> int:
         rng = np.random.default_rng((seed, _TAG_KERCKHOFF, i))
@@ -239,7 +252,7 @@ def mc_kerckhoff(
         rem = a - k * s
         return int(np.count_nonzero((rem >= b) | ((rem > 0) & (a - (k - 1) * s >= b))))
 
-    hits = _run_blocks(block, _blocks(samples), workers)
+    hits = _run_blocks(block, blocks, workers)
     return sum(hits) / samples
 
 
@@ -437,87 +450,69 @@ class NoReturn:
     depth: int
 
 
-def _prefix_function(tokens: list) -> list[int]:
-    fail = [0] * (len(tokens) + 1)
-    k = 0
-    for i in range(1, len(tokens)):
-        while k > 0 and tokens[i] != tokens[k]:
-            k = fail[k]
-        if tokens[i] == tokens[k]:
-            k += 1
-        fail[i + 1] = k
-    return fail
+def _section_sides(loop: RauzyPath) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """Exact (u, v, w) of each side of ``section_triangle(loop)``, signed
+    so that u a + v b + w > 0 holds inside the triangle."""
+    verts = section_triangle(loop)
+    sides = []
+    for i in range(3):
+        (x1, y1), (x2, y2), (x3, y3) = verts[i], verts[i - 1], verts[i - 2]
+        u, v, w = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
+        sign = 1 if u * x3 + v * y3 + w > 0 else -1
+        sides.append((sign * u, sign * v, sign * w))
+    return tuple(sides)
 
 
-def _loop_automaton(tokens: list):
-    """The matcher of the loop's blocks in an itinerary, as tables.
-
-    A block is of class j + 1 if it is ``symbols[j]``, the j-th distinct
-    block of the loop, and of class 0 if the loop has no such block.  The
-    state k < L is the length of the longest prefix of the loop that ends
-    the blocks read so far.  Reading a block of class x in state k,
-    ``hit[k, x]`` says the whole loop now ends them, and ``nxt[k, x]`` is
-    the next state, the loop's longest proper border after a hit."""
-    L = len(tokens)
-    fail = _prefix_function(tokens)
-    symbols = tuple(dict.fromkeys(tokens))
-    nxt = np.zeros((L, len(symbols) + 1), dtype=np.int64)
-    hit = np.zeros(nxt.shape, dtype=bool)
-    for k in range(L):
-        for x, sym in enumerate((None,) + symbols):
-            state = k
-            while state > 0 and sym != tokens[state]:
-                state = fail[state]
-            state = state + 1 if sym == tokens[state] else 0
-            hit[k, x] = state == L
-            nxt[k, x] = fail[L] if state == L else state
-    return symbols, nxt, hit
+def _in_section(sides, a, b):
+    """Whether (a, b) lies in the open triangle of these sides: exactly for
+    exact coordinates, in the floats of the exact sides for a float point
+    or arrays (elementwise)."""
+    if isinstance(a, (float, np.ndarray)):
+        sides = [tuple(map(float, side)) for side in sides]
+    (u0, v0, w0), (u1, v1, w1), (u2, v2, w2) = sides
+    return (u0 * a + v0 * b + w0 > 0) & (u1 * a + v1 * b + w1 > 0) & (u2 * a + v2 * b + w2 > 0)
 
 
 def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
     """First genuine return of the point's orbit to the loop's cylinder.
 
-    The point must lie in the cylinder (its leading symbols are checked
-    against the loop).  Returns a ReturnRecord whose path is the symbolic
-    itinerary consumed before the orbit's future again begins with the
-    loop, or NoReturn if that does not happen within ``cap`` steps.
+    The point must lie in the cylinder: its first L blocks are checked
+    against the loop's, so it always takes at least L steps.  The orbit
+    returns at the first step k <= ``cap`` whose image lies in the open
+    section triangle.  Returns a ReturnRecord with the k blocks taken, the
+    image and the roof -log D summed over those steps, or NoReturn if no
+    image within ``cap`` steps is in the triangle.
     """
     validate_loop(loop)
     tokens = _as_blocks(loop)
     L = len(tokens)
-    symbols, nxt, hit = _loop_automaton(tokens)
-    state = 0
+    sides = _section_sides(loop)
     consumed: list[tuple[int, str]] = []
-    trail: list[tuple[ChartPoint, float]] = [(point, 0.0)]  # post-step points, cumulative roof
+    found = None
     cur = point
     cum = 0.0
-    for m in range(1, cap + L + 1):
+    for m in range(1, max(cap, L) + 1):
         cell, d, image = _step(cur)
         if isinstance(cell, HoleCell):
             raise OutsideCylinder(f"orbit fell into a hole after {m - 1} steps")
         sym = (cell.n, cell.kind)
-        cum -= math.log(d)
-        consumed.append(sym)
         if m <= L and sym != tokens[m - 1]:
             raise OutsideCylinder(
                 f"point is not in the loop cylinder: step {m} is {sym}, "
                 f"expected {tokens[m - 1]}"
             )
-        x = symbols.index(sym) + 1 if sym in symbols else 0
-        if hit[state, x] and m - L >= 1:
-            ret_point, ret_cum = trail[m - L]
-            path = path_from_blocks(loop.start, consumed[:m - L])
-            return ReturnRecord(
-                start=point,
-                path=path,
-                return_point=ret_point,
-                roof_value=ret_cum,
-            )
-        state = nxt[state, x]
+        cum -= math.log(d)
+        consumed.append(sym)
         cur = image.validate()
-        trail.append((cur, cum))
-        if m - L >= cap:
-            break
+        if found is None and m <= cap and _in_section(sides, cur.a, cur.b):
+            found = ReturnRecord(
+                start=point,
+                path=path_from_blocks(loop.start, consumed),
+                return_point=cur,
+                roof_value=cum,
+            )
+        if found is not None and m >= L:
+            return found
     return NoReturn(depth=cap)
 
 
@@ -549,37 +544,40 @@ class TailCurve:
         return "\n".join(lines)
 
 
-def _first_returns(a, b, tokens: list, cap: int):
-    """``first_return`` of every section point (a, b) of the loop with
-    blocks ``tokens``, one accelerated step of all of them at a time.
+def _first_returns(a, b, loop: RauzyPath, cap: int):
+    """``first_return`` of every section point (a, b) of the loop, one
+    accelerated step of all of them at a time.
 
     Returns (index, roofs, lost): the index into (a, b) of each point that
-    returns within ``cap`` steps past the loop, and its roof, in the order
-    of return (by step, then by index); and the number of points lost to
-    holes, to the cap or outside the cylinder.
+    returns within ``cap`` steps, and its roof, in the order of return (by
+    step, then by index); and the number of points lost to holes, to the
+    cap or outside the cylinder.
 
-    The first L steps are the loop's own blocks, so they take each block's
-    known branch (n, kind): D = a - (n-1) s, rem = a - n s and the image
-    (b / D, c / D) after a cyc ending or (b / D, rem / D) after a swap, the
-    floats that ``accelerated_step_batch`` computes there, without its
-    counter.  A point whose float arithmetic leaves that
-    branch (rem >= b, rem <= 0, the other ending, or D < b when n > 1) is
-    outside the cylinder, where ``first_return`` raises OutsideCylinder,
-    and counts as lost; the arrays are compacted once, after those steps.
-    Each later step runs ``accelerated_step_batch`` and the loop matcher on
-    every point, dead ones included, then compacts the arrays once, on
-    ``alive & ~returned``.  A dead point still has D >= b > 0, so its
-    -log D is finite junk that the compaction drops.
+    After every step, a point whose image lies in the open section
+    triangle (``_in_section``) returns, with the running sum of -log D as
+    its roof.  The first L steps are the loop's own blocks, so they take
+    each block's known branch (n, kind): D = a - (n-1) s, rem = a - n s
+    and the image (b / D, c / D) after a cyc ending or (b / D, rem / D)
+    after a swap, the floats that ``accelerated_step_batch`` computes
+    there, without its counter.  A point whose float arithmetic leaves
+    that branch (rem >= b, rem <= 0, the other ending, or D < b when
+    n > 1) is outside the cylinder, where ``first_return`` raises
+    OutsideCylinder, and counts as lost, even if it was back in the
+    triangle before; the arrays are compacted once, after those steps.
+    Each later step runs ``accelerated_step_batch`` on every point, dead
+    ones included, then compacts the arrays once, on ``alive &
+    ~returned``.  A dead point still has D >= b > 0, so its -log D is
+    finite junk that the compaction drops.
     """
-    L = len(tokens)
-    symbols, nxt, hit = _loop_automaton(tokens)
+    tokens = _as_blocks(loop)
+    sides = _section_sides(loop)
     inside = np.ones(a.size, dtype=bool)
+    returned = np.zeros(a.size, dtype=bool)
+    early = []  # (index, roof) of the returns at each of the first L steps
     cum = 0.0
-    ring = np.empty((L, a.size))  # the last L roof increments
-    state = 0
     # an outside point's junk may be negative or NaN: its D has no log
     with np.errstate(divide="ignore", invalid="ignore"):
-        for m, (n, kind) in enumerate(tokens):
+        for m, (n, kind) in enumerate(tokens, start=1):
             s = 1.0 - a
             c = s - b
             rem = a - n * s
@@ -588,41 +586,30 @@ def _first_returns(a, b, tokens: list, cap: int):
             inside &= (rem < b) & (rem > 0) & ((rem <= c) if cyc else (rem > c))
             if n > 1:
                 inside &= d >= b
-            ring[m] = -np.log(d)
-            cum = cum + ring[m]
+            cum = cum - np.log(d)
             a, b = b / d, (c if cyc else rem) / d
-            state = nxt[state, symbols.index((n, kind)) + 1]
-    index = np.flatnonzero(inside)
-    lost = a.size - index.size
-    a, b, cum = (v.compress(inside) for v in (a, b, cum))
-    ring = ring.compress(inside, axis=1)
-    state = np.full(a.size, state)
-    width = nxt.shape[1]
-    nxt, hit = nxt.ravel(), hit.ravel()
-    found_index = []
-    found_roofs = []
-    for m in range(L + 1, L + cap + 1):
+            if m <= cap:
+                ret = _in_section(sides, a, b) & ~returned
+                returned |= ret
+                early.append((np.flatnonzero(ret), cum[ret]))
+    found_index = [np.empty(0, dtype=np.int64)] + [i[inside[i]] for i, _ in early]
+    found_roofs = [np.empty(0)] + [r[inside[i]] for i, r in early]
+    running = inside & ~returned
+    index = np.flatnonzero(running)
+    lost = int(np.count_nonzero(~inside))
+    a, b, cum = (v.compress(running) for v in (a, b, cum))
+    for _ in range(len(tokens) + 1, cap + 1):
         if not a.size:
             break
-        a, b, n, kind, d, alive = accelerated_step_batch(a, b)
-        inc = -np.log(d)
-        cum = cum + inc
-        ring[(m - 1) % L] = inc
-        at = state * width  # flat index of (state, class) in the tables
-        for x, (sym_n, sym_kind) in enumerate(symbols, start=1):
-            at += x * ((n == sym_n) & (kind == KIND_CODE[sym_kind]))
-        ret = hit[at] & alive
-        state = nxt[at]
-        if ret.any():
-            found_index.append(index[ret])
-            found_roofs.append(cum[ret] - ring[:, ret].sum(axis=0))
+        a, b, _, _, d, alive = accelerated_step_batch(a, b)
+        cum = cum - np.log(d)
+        ret = alive & _in_section(sides, a, b)
+        found_index.append(index[ret])
+        found_roofs.append(cum[ret])
         keep = alive & ~ret
         lost += int(np.count_nonzero(~alive))
-        a, b, index, state, cum = (v.compress(keep) for v in (a, b, index, state, cum))
-        ring = ring.compress(keep, axis=1)
+        a, b, index, cum = (v.compress(keep) for v in (a, b, index, cum))
     lost += a.size  # still running at the cap
-    if not found_roofs:
-        return np.empty(0, dtype=np.int64), np.empty(0), lost
     return np.concatenate(found_index), np.concatenate(found_roofs), lost
 
 
@@ -650,17 +637,17 @@ def return_roofs(
     stopped the run.  Bit-identical for any worker count.
 
     Each block runs ``_first_returns``, which walks the loop's own blocks
-    without the counter and then compacts its arrays once per accelerated
-    step.  As each round of blocks ends, the totals so far
+    without the counter, tests re-entry into the section triangle after
+    every step and compacts its arrays once per accelerated step.  As
+    each round of blocks ends, the totals so far
     (``drawn``, ``returns``, ``lost``) and the round's wall time go to the
     ``rauzygasket`` logger at DEBUG as one JSON line.
     """
     validate_loop(loop)
-    tokens = _as_blocks(loop)
 
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_TAIL, i))
-        _, vals, lost = _first_returns(*sample_section(loop, rng, size), tokens, cap)
+        _, vals, lost = _first_returns(*sample_section(loop, rng, size), loop, cap)
         return vals, lost
 
     # blocks are consumed in fixed-size rounds so the set of blocks (and

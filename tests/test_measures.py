@@ -17,9 +17,11 @@ from rauzygasket.graph import (
 from rauzygasket.induction import CYC, SWAP
 from rauzygasket.markov import (
     ChartPoint,
+    HoleCell,
     MarkovCell,
     TieOnBoundary,
     _counter_batch,
+    _step,
     accelerated_step_batch,
     apply_T,
     branch_preimage,
@@ -39,7 +41,8 @@ from rauzygasket.measures import (
     _as_blocks,
     _blocks,
     _first_returns,
-    _loop_automaton,
+    _in_section,
+    _section_sides,
     block_child,
     cylinder_measure,
     dual_update,
@@ -299,6 +302,35 @@ def test_kerckhoff_exact_oracle_values():
     assert kerckhoff_exact_probability(5.0) == F(3, 36)
     assert kerckhoff_exact_probability(10.0) == F(3, 121)
     assert kerckhoff_exact_probability(2.5) == F(3, 9)
+
+
+@pytest.mark.parametrize("t, expected", [
+    (-1.0, F(1)), (0.5, F(1)), (1.0, F(3, 4)), (1.0 + 1e-9, F(3, 4)), (2.0, F(3, 9)),
+    (2.5, F(3, 9)), (10.0, F(3, 121)), (1e300, F(3, (int(1e300) + 1) ** 2)),
+    # the ratio 2^53 + 3 is the first to exceed t: t - 1 rounds in floats
+    (2.0**53 + 2, F(3, (2**53 + 3) ** 2)),
+])
+def test_kerckhoff_exact_oracle_finite_thresholds(t, expected):
+    assert kerckhoff_exact_probability(t) == expected
+
+
+def test_kerckhoff_exact_oracle_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="t = nan"):
+        kerckhoff_exact_probability(math.nan)
+
+
+@pytest.mark.parametrize("t, expected", [(math.inf, F(0)), (-math.inf, F(1))])
+def test_kerckhoff_exact_oracle_infinite_threshold(t, expected):
+    assert kerckhoff_exact_probability(t) == expected
+    assert mc_kerckhoff(t, samples=100) == expected
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_monte_carlo_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError, match=f"samples = {samples} "):
+        mc_kerckhoff(2.0, samples=samples)
+    with pytest.raises(ValueError, match=f"samples = {samples} "):
+        mc_balance([2.0], samples=samples)
 
 
 @pytest.mark.parametrize("t", [2.0, 5.0, 10.0])
@@ -579,19 +611,56 @@ def test_roof_value_bounded_below_by_block_count():
     assert returned > 0
 
 
+def _random_exact_points(rng, count, box):
+    """Exact sorted chart points drawn on a 10^6 grid of the box
+    ((a_lo, a_hi), (b_lo, b_hi)), dropping those outside the chart."""
+    (a_lo, a_hi), (b_lo, b_hi) = box
+    out = []
+    while len(out) < count:
+        a = a_lo + (a_hi - a_lo) * F(rng.randrange(10**6), 10**6)
+        b = b_lo + (b_hi - b_lo) * F(rng.randrange(10**6), 10**6)
+        if a > b > 1 - a - b > 0:
+            out.append(ChartPoint(a, b))
+    return out
+
+
+def _starts_with_loop(p, blocks):
+    for block in blocks:
+        cell, _, p = _step(p)
+        if isinstance(cell, HoleCell) or (cell.n, cell.kind) != block:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("loop", [loop_ccc(), loop_cccss()], ids=["ccc", "cccss"])
-def test_loop_automaton_hits_every_occurrence_of_the_loop(loop):
-    tokens = _as_blocks(loop)
-    symbols, nxt, hit = _loop_automaton(tokens)
-    rng = random.Random(3)
-    for _ in range(200):
-        # itineraries over the loop's blocks and one block foreign to it
-        seq = [rng.choice(symbols + ((7, CYC),)) for _ in range(rng.randrange(1, 30))]
-        state = 0
-        for m, sym in enumerate(seq, start=1):
-            x = symbols.index(sym) + 1 if sym in symbols else 0
-            assert hit[state, x] == (seq[max(0, m - len(tokens)):m] == tokens)
-            state = nxt[state, x]
+def test_section_triangle_test_is_the_loop_cylinder(loop):
+    blocks = _as_blocks(loop)
+    verts = section_triangle(loop)
+    sides = _section_sides(loop)
+    for u, v, w in sides:
+        values = [u * x + v * y + w for x, y in verts]
+        assert values.count(0) == 2 and max(values) > 0
+    # exact points around the triangle: inside exactly when the first L
+    # blocks are the loop's
+    rng = random.Random(5)
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    pad_a, pad_b = max(xs) - min(xs), max(ys) - min(ys)
+    box = ((min(xs) - pad_a, max(xs) + pad_a), (min(ys) - pad_b, max(ys) + pad_b))
+    seen = {True: 0, False: 0}
+    for p in _random_exact_points(rng, 3000, box):
+        try:
+            expected = _starts_with_loop(p, blocks)
+        except TieOnBoundary:
+            continue
+        assert _in_section(sides, p.a, p.b) == expected, p
+        seen[expected] += 1
+    assert min(seen.values()) > 100
+    # points pulled back through the loop are inside
+    for z in _random_exact_points(rng, 300, ((F(1, 3), F(1)), (F(0), F(1, 2)))):
+        x, y = z.a, z.b
+        for n, kind in reversed(blocks):
+            x, y = branch_preimage(n, kind, x, y, 1 - x - y)
+        assert _in_section(sides, x, y)
 
 
 def test_first_return_of_ccc_can_be_one_block():
@@ -603,7 +672,7 @@ def test_first_return_of_ccc_can_be_one_block():
     record = first_return(p, loop_ccc())
     assert [(st.n, st.kind) for st in record.path.steps] == [(1, CYC)]
     index, roofs, lost = _first_returns(np.array([float(p.a)]), np.array([float(p.b)]),
-                                        _as_blocks(loop_ccc()), 10)
+                                        loop_ccc(), 10)
     assert index.tolist() == [0] and lost == 0
     assert roofs[0] == pytest.approx(record.roof_value, rel=1e-12)
 
@@ -623,7 +692,7 @@ def test_vectorized_first_returns_match_scalar_first_return(loop, cap):
     # cylinder, however soon the loop follows
     u, v = branch_preimage(2, SWAP, x, y, 1.0 - x - y)
     a, b = np.concatenate([a, x, u]), np.concatenate([b, y, v])
-    index, roofs, lost = _first_returns(a, b, blocks, cap)
+    index, roofs, lost = _first_returns(a, b, loop, cap)
     assert index.size + lost == a.size and np.unique(index).size == index.size
     returned = dict(zip(index.tolist(), roofs.tolist()))
     if cap >= len(blocks):
@@ -638,7 +707,10 @@ def test_vectorized_first_returns_match_scalar_first_return(loop, cap):
         outcomes[type(out)] += 1
         if i in returned:
             assert isinstance(out, ReturnRecord), i
-            assert out.roof_value == pytest.approx(returned[i], rel=1e-12, abs=0)
+            # both sum the same -log D in the same order; only the logs
+            # of numpy and math may differ in the last bit
+            assert abs(returned[i] - out.roof_value) <= 2 * np.finfo(float).eps * abs(
+                out.roof_value), i
         else:
             assert isinstance(out, (NoReturn, OutsideCylinder)), i
     assert outcomes[OutsideCylinder] > 0

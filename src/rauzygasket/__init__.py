@@ -20,7 +20,6 @@ from .induction import (  # noqa: F401
     rauzy_step,
 )
 from .graph import (  # noqa: F401
-    CocycleMatrix,
     RauzyGraph,
     RauzyPath,
     build_graph,

@@ -49,7 +49,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graph import START, apply_kind
-from .induction import CYC, STAY, SWAP
+from .induction import CYC, STAY, SWAP, format_scalar
 from .markov import _CLOUD_BLOCK, chaos_game
 # perfbench's Dimension.trace_targets looks up survivor_mass,
 # enumerate_cylinders, elementary_children, block_child and hole_mass_at
@@ -209,23 +209,6 @@ def _descend(walk: _Walk, depth: int, counters: np.ndarray, kinds) -> Iterator:
             stack += [(level + 1, w[i:i + per_chunk]) for i in range(0, len(w), per_chunk)]
 
 
-_DIGITS = 4000  # below the interpreter's default cap on int-to-str digits
-_PIECE = 10**_DIGITS
-
-
-def _decimal(n: int) -> str:
-    """Decimal digits of n >= 0, converted in pieces short enough for str()."""
-    if n < _PIECE:
-        return str(n)
-    high, low = divmod(n, _PIECE)
-    return _decimal(high) + str(low).zfill(_DIGITS)
-
-
-def _ratio_text(x: Fraction) -> str:
-    """The text "p/q" of a nonnegative Fraction of any size."""
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
-
-
 def _exact_sum(nums, dens) -> Fraction:
     """Exact sum of the terms nums[i] / dens[i] (dens > 0); ``nums`` may be
     one numerator shared by every term.
@@ -282,7 +265,7 @@ class Cylinder:
     def to_json(self) -> dict:
         return {
             "path": [[n, k] for n, k in self.path],
-            "measure": _ratio_text(self.measure),
+            "measure": format_scalar(self.measure),
             "survives": self.survives,
             "kind": self.kind,
         }
@@ -695,7 +678,7 @@ def dimension_report(
     alpha = timed("alpha1", fast_decay_estimate, alpha_depth, n_cap=n_cap,
                   measure_floor=measure_floor)
     done("alpha1", cylinders_enumerated=alpha.enumerated,
-         alpha1_remainder=_ratio_text(alpha.remainder_exact))
+         alpha1_remainder=format_scalar(alpha.remainder_exact))
     cloud = timed("chaos_game", chaos_game, points, seed=seed, workers=workers)
     done("chaos_game")
     box = timed("box_counting", box_counting, cloud, _BOX_GRID)

@@ -6,6 +6,9 @@ each vertex carries three outgoing arrows, one per elementary step kind
 
 Matrix conventions, fixed once here and relied on everywhere else:
 
+* a 3x3 integer matrix is a tuple of three row tuples, in letter
+  coordinates here and in rank coordinates in ``induction``; the only
+  matrix operations are ``induction._mat_mul`` and ``induction._mat_vec``;
 * per-step length block in letter coordinates
       M_w = I + e_w (e_u + e_v)^T          (w the winner, u, v the others)
   so that old lengths = M_w . new lengths;
@@ -13,7 +16,8 @@ Matrix conventions, fixed once here and relied on everywhere else:
   (the forward cocycle, written B* below); concatenating paths multiplies
   these on the right;
 * the dual (height) cocycle is the transpose  B = (B*)^T; it acts on
-  weight covectors by q -> q + n q_w on the two non-winner entries, and
+  weight covectors by q -> q + n q_w on the two non-winner entries
+  (``measures.dual_update``), and
   the projectivized induction acts on lengths by (B*)^{-1}.
 """
 
@@ -142,98 +146,13 @@ def build_graph() -> RauzyGraph:
 
 # --- cocycle matrices ------------------------------------------------------
 
-class CocycleMatrix:
-    """3x3 nonnegative integer matrix with determinant +-1, stored as the
-    forward (length-side) product along a path."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
-
-    @classmethod
-    def identity(cls) -> "CocycleMatrix":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    @classmethod
-    def length_block(cls, winner: Letter, n: int) -> "CocycleMatrix":
-        """M_w^n: adds n times the two non-winner entries into the winner
-        row."""
-        rows = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-        w = winner - 1
-        for j in range(3):
-            if j != w:
-                rows[w][j] = n
-        return cls(rows)
-
-    def __matmul__(self, other: "CocycleMatrix") -> "CocycleMatrix":
-        return CocycleMatrix(_mat_mul(self.rows, other.rows))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CocycleMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"CocycleMatrix({self.rows})"
-
-    def transpose(self) -> "CocycleMatrix":
-        """The dual (height) cocycle B."""
-        r = self.rows
-        return CocycleMatrix(
-            tuple(tuple(r[i][j] for i in range(3)) for j in range(3))
-        )
-
-    def det(self) -> int:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
-    def is_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
-
-    def column_sums(self) -> tuple[int, int, int]:
-        r = self.rows
-        return tuple(r[0][j] + r[1][j] + r[2][j] for j in range(3))
-
-    def apply(self, vec: Sequence) -> tuple:
-        return tuple(
-            sum(self.rows[i][k] * vec[k] for k in range(3)) for i in range(3)
-        )
-
-    def apply_dual(self, q: Sequence) -> tuple:
-        """B q, i.e. the transpose acting on a weight vector."""
-        return tuple(
-            sum(self.rows[k][i] * q[k] for k in range(3)) for i in range(3)
-        )
-
-    def solve(self, vec: Sequence) -> tuple:
-        """Exact solve of self . x = vec (Cramer; determinant is +-1, so
-        no division leaves the input's arithmetic)."""
-        r = self.rows
-        d = self.det()
-        if d not in (1, -1):
-            raise ValueError("cocycle matrices are unimodular")
-
-        def det3(c0, c1, c2):
-            return (
-                c0[0] * (c1[1] * c2[2] - c1[2] * c2[1])
-                - c1[0] * (c0[1] * c2[2] - c0[2] * c2[1])
-                + c2[0] * (c0[1] * c1[2] - c0[2] * c1[1])
-            )
-
-        cols = [tuple(r[i][j] for i in range(3)) for j in range(3)]
-        out = []
-        for j in range(3):
-            repl = list(cols)
-            repl[j] = tuple(vec)
-            x = det3(*repl)
-            out.append(x if d == 1 else -x)
-        return tuple(out)
+def length_block(winner: Letter, n: int) -> tuple[tuple[int, int, int], ...]:
+    """M_w^n: adds n times the two non-winner entries into the winner row."""
+    w = winner - 1
+    return tuple(
+        tuple(int(n) if i == w and j != w else int(i == j) for j in range(3))
+        for i in range(3)
+    )
 
 
 # --- paths ------------------------------------------------------------------
@@ -308,17 +227,6 @@ def make_step(state: Perm3, kind: str, n: int = 1) -> PathStep:
     )
 
 
-def path_from_kinds(start: Perm3, kinds: Sequence[str]) -> RauzyPath:
-    """Elementary path given by a sequence of step kinds."""
-    steps = []
-    state = start
-    for kind in kinds:
-        st = make_step(state, kind)
-        steps.append(st)
-        state = st.dst
-    return RauzyPath(start=start, steps=tuple(steps))
-
-
 def path_from_blocks(start: Perm3, blocks: Sequence[tuple[int, str]]) -> RauzyPath:
     """Accelerated path given by (counter, ending-kind) blocks."""
     steps = []
@@ -330,11 +238,16 @@ def path_from_blocks(start: Perm3, blocks: Sequence[tuple[int, str]]) -> RauzyPa
     return RauzyPath(start=start, steps=tuple(steps))
 
 
-def cocycle_of(path: RauzyPath) -> CocycleMatrix:
+def path_from_kinds(start: Perm3, kinds: Sequence[str]) -> RauzyPath:
+    """Elementary path given by a sequence of step kinds."""
+    return path_from_blocks(start, [(1, kind) for kind in kinds])
+
+
+def cocycle_of(path: RauzyPath) -> tuple[tuple[int, int, int], ...]:
     """Path-ordered product of the letter-coordinate length blocks."""
-    m = CocycleMatrix.identity()
+    m = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for st in path.steps:
-        m = m @ CocycleMatrix.length_block(st.winner, st.n)
+        m = _mat_mul(m, length_block(st.winner, st.n))
     return m
 
 
@@ -345,7 +258,7 @@ def is_complete(path: RauzyPath) -> bool:
 
 def is_positive(path: RauzyPath) -> bool:
     """True iff the path's cocycle matrix has strictly positive entries."""
-    return cocycle_of(path).is_positive()
+    return all(x > 0 for row in cocycle_of(path) for x in row)
 
 
 def enumerate_paths(start: Perm3, length: int) -> Iterator[RauzyPath]:

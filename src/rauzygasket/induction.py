@@ -86,6 +86,10 @@ def _mat_mul(a, b):
     )
 
 
+def _mat_vec(m, v):
+    return tuple(sum(m[i][k] * v[k] for k in range(3)) for i in range(3))
+
+
 @dataclass(frozen=True)
 class SpecialSystem:
     """Three exact lengths labeled by letters 1..3 plus the sorting order.
@@ -122,10 +126,24 @@ class SpecialSystem:
         return make_system(*lengths)
 
 
+_DIGITS = 4000  # below the interpreter's default cap on int-to-str digits
+_PIECE = 10**_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n >= 0, converted in pieces short enough for str()."""
+    if n < _PIECE:
+        return str(n)
+    high, low = divmod(n, _PIECE)
+    return _decimal(high) + str(low).zfill(_DIGITS)
+
+
 def format_scalar(x) -> str:
-    """Serialize an exact scalar as "p/q" (denominator always written)."""
+    """Serialize an exact scalar of any size as "p/q" (denominator always
+    written)."""
     f = Fraction(x) if not isinstance(x, Fraction) else x
-    return f"{f.numerator}/{f.denominator}"
+    sign = "-" if f < 0 else ""
+    return f"{sign}{_decimal(abs(f.numerator))}/{_decimal(f.denominator)}"
 
 
 def parse_fraction(text: str) -> Fraction:

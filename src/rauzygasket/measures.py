@@ -40,7 +40,7 @@ from .graph import (
     is_positive,
     path_from_blocks,
 )
-from .induction import CYC, STAY, SWAP
+from .induction import CYC, STAY, SWAP, _mat_vec
 from .markov import (
     KIND_CODE,
     ChartPoint,
@@ -168,11 +168,16 @@ def hole_mass_at(q: Sequence, order: Sequence[int], k: int) -> Fraction:
 _BLOCK = 1 << 16
 
 
+def _check_samples(samples: int) -> None:
+    """ValueError naming ``samples`` unless samples >= 1."""
+    if samples < 1:
+        raise ValueError(f"samples = {samples} must be >= 1")
+
+
 def _blocks(samples: int):
     """(index, size) of the fixed-size blocks of ``samples`` draws;
     ValueError unless samples >= 1."""
-    if samples < 1:
-        raise ValueError(f"samples = {samples} must be >= 1")
+    _check_samples(samples)
     full, rem = divmod(samples, _BLOCK)
     sizes = [_BLOCK] * full + ([rem] if rem else [])
     return list(enumerate(sizes))
@@ -417,7 +422,7 @@ def section_triangle(loop: RauzyPath) -> tuple[tuple[Fraction, Fraction], ...]:
         rays.append(tuple(ray))
     verts = []
     for ray in rays:
-        v = m.apply(ray)
+        v = _mat_vec(m, ray)
         t = v[0] + v[1] + v[2]
         verts.append((v[0] / t, v[1] / t))
     return tuple(verts)
@@ -641,8 +646,10 @@ def return_roofs(
     every step and compacts its arrays once per accelerated step.  As
     each round of blocks ends, the totals so far
     (``drawn``, ``returns``, ``lost``) and the round's wall time go to the
-    ``rauzygasket`` logger at DEBUG as one JSON line.
+    ``rauzygasket`` logger at DEBUG as one JSON line.  ValueError unless
+    samples >= 1.
     """
+    _check_samples(samples)
     validate_loop(loop)
 
     def block(i: int, size: int):

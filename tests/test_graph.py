@@ -6,7 +6,6 @@ import pytest
 
 from rauzygasket.graph import (
     START,
-    CocycleMatrix,
     NonComposablePath,
     RauzyPath,
     build_graph,
@@ -19,7 +18,8 @@ from rauzygasket.graph import (
     path_from_kinds,
     verify_complete_implies_positive,
 )
-from rauzygasket.induction import Step, rauzy_step
+from rauzygasket.induction import Step, _mat_mul, _mat_vec, rauzy_step
+from rauzygasket.measures import dual_update
 
 from test_induction import random_system
 
@@ -50,7 +50,7 @@ def test_graph_json_has_hole_sink():
 # --- cocycle matrices -------------------------------------------------------
 
 def test_cocycle_empty_path_is_identity():
-    assert cocycle_of(RauzyPath(start=START)) == CocycleMatrix.identity()
+    assert cocycle_of(RauzyPath(start=START)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert not is_positive(RauzyPath(start=START))
 
 
@@ -58,10 +58,19 @@ def test_single_step_block_shape():
     path = path_from_kinds(START, ["swap"])
     m = cocycle_of(path)
     # winner letter 1: its row gains the other two entries
-    assert m.rows == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
-    assert m.transpose().rows == ((1, 0, 0), (1, 1, 0), (1, 0, 1))
-    assert m.apply_dual((1, 1, 1)) == (1, 2, 2)
+    assert m == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
+    assert tuple(zip(*m)) == ((1, 0, 0), (1, 1, 0), (1, 0, 1))
+    # the dual cocycle B = (B*)^T on the all-ones weights: column sums of B*
+    assert tuple(map(sum, zip(*m))) == dual_update((1, 1, 1), 1) == (1, 2, 2)
     assert not is_positive(path)
+
+
+def _det(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def test_cocycle_det_unimodular():
@@ -69,7 +78,7 @@ def test_cocycle_det_unimodular():
     kinds = ("stay", "swap", "cyc")
     for _ in range(200):
         path = path_from_kinds(START, [rng.choice(kinds) for _ in range(8)])
-        assert cocycle_of(path).det() in (1, -1)
+        assert _det(cocycle_of(path)) in (1, -1)
 
 
 def test_cocycle_concatenation():
@@ -82,7 +91,7 @@ def test_cocycle_concatenation():
         p1 = path_from_kinds(START, seq[:cut])
         p2 = path_from_kinds(p1.end, seq[cut:])
         assert cocycle_of(p1 + p2) == cocycle_of(p)
-        assert (cocycle_of(p1) @ cocycle_of(p2)) == cocycle_of(p)
+        assert _mat_mul(cocycle_of(p1), cocycle_of(p2)) == cocycle_of(p)
 
 
 def test_non_composable():
@@ -166,7 +175,7 @@ def test_realized_path_recovers_lengths():
             continue
         path = RauzyPath(start=s.order, steps=tuple(steps))
         unnorm = tuple(x * scale for x in cur.lengths)
-        assert cocycle_of(path).apply(unnorm) == s.lengths
+        assert _mat_vec(cocycle_of(path), unnorm) == s.lengths
 
 
 def test_path_json():

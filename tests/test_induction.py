@@ -317,3 +317,10 @@ def test_orbit_outside_support():
 def test_format_scalar():
     assert format_scalar(F(1)) == "1/1"
     assert format_scalar(F(-3, 9)) == "-1/3"
+
+
+def test_format_scalar_past_the_int_to_str_cap():
+    big = "1" + "0" * 4999 + "1"
+    assert format_scalar(F(10**5000 + 1, 3)) == big + "/3"
+    assert format_scalar(F(-(10**5000 + 1), 3)) == "-" + big + "/3"
+    assert format_scalar(F(2, 10**5000 + 1)) == "2/" + big

@@ -17,7 +17,6 @@ from rauzygasket.dimension import (
     _descend,
     _exact_sum,
     _expand,
-    _ratio_text,
     _walk,
     box_counting,
     delta_estimate,
@@ -29,7 +28,7 @@ from rauzygasket.dimension import (
     survivor_sweep,
 )
 from rauzygasket.graph import START, apply_kind, path_from_blocks
-from rauzygasket.induction import CYC, STAY, SWAP
+from rauzygasket.induction import CYC, STAY, SWAP, format_scalar
 from rauzygasket.markov import _CLOUD_BLOCK
 from rauzygasket.measures import (
     Q_ONES,
@@ -428,4 +427,4 @@ def test_report_counters_and_timings():
 
 def test_ratio_text_past_the_int_to_str_cap():
     # exact remainders at accelerated depth 3 run past 4300 digits
-    assert _ratio_text(F(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"
+    assert format_scalar(F(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"

@@ -7,14 +7,13 @@ import pytest
 
 from rauzygasket.graph import (
     START,
-    CocycleMatrix,
     RauzyPath,
     apply_kind,
     cocycle_of,
     path_from_blocks,
     path_from_kinds,
 )
-from rauzygasket.induction import CYC, SWAP
+from rauzygasket.induction import CYC, SWAP, _mat_vec, accelerated_matrix
 from rauzygasket.markov import (
     ChartPoint,
     HoleCell,
@@ -206,7 +205,7 @@ def test_path_probability_column_sum_identity():
         path = path_from_kinds(START, [rng.choice(kinds) for _ in range(6)])
         m = cocycle_of(path)
         expected = F(1)
-        for c in m.column_sums():
+        for c in map(sum, zip(*m)):
             expected /= c
         assert path_probability((1, 1, 1), path) == expected
 
@@ -237,7 +236,7 @@ def _cylinder_triangle(path):
         ray = [F(0)] * 3
         for letter in end[:k]:
             ray[letter - 1] = F(1)
-        v = m.apply(tuple(ray))
+        v = _mat_vec(m, ray)
         t = v[0] + v[1] + v[2]
         verts.append((v[0] / t, v[1] / t))
     return verts
@@ -480,9 +479,22 @@ def test_roof_raises_tie_where_cell_of_does():
             roof_scale(exact, [(1, kind)])
 
 
+def _solve(m, v):
+    """x with m . x == v, by exact Fraction Gauss-Jordan elimination."""
+    rows = [[F(x) for x in row] + [F(y)] for row, y in zip(m, v)]
+    for col in range(3):
+        pivot = next(r for r in range(col, 3) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(3):
+            if r != col:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return tuple(row[3] for row in rows)
+
+
 def test_roof_scale_matches_matrix_solve():
     # independent route: l1 norm of the de-renormalized lengths obtained
-    # by exact unimodular solve of the block matrix
+    # by exact solve of the block matrix
     rng = random.Random(41)
     for _ in range(200):
         denom = 10**6
@@ -498,11 +510,7 @@ def test_roof_scale_matches_matrix_solve():
         if not isinstance(out, tuple):
             continue
         _, cell = out
-        if cell.kind == "swap":
-            m = CocycleMatrix(((cell.n, 1, cell.n), (1, 0, 0), (0, 0, 1)))
-        else:
-            m = CocycleMatrix(((cell.n, cell.n, 1), (1, 0, 0), (0, 1, 0)))
-        de_renorm = m.solve((a, b, c))
+        de_renorm = _solve(accelerated_matrix(cell.n, cell.kind), (a, b, c))
         assert all(x > 0 for x in de_renorm)
         assert sum(de_renorm) == roof_scale(p, [(cell.n, cell.kind)])
 
@@ -731,6 +739,18 @@ def test_return_roofs_one_sample_draws_one_block():
     r8, d8, l8 = return_roofs(loop_ccc(), 1, seed=21, workers=8)
     assert d1 == 65536 and r1.size >= 1
     assert np.array_equal(r1, r8) and (d1, l1) == (d8, l8)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_return_roofs_rejects_samples_below_one(samples, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew section points")
+
+    monkeypatch.setattr("rauzygasket.measures.sample_section", no_draw)
+    with pytest.raises(ValueError, match=f"samples = {samples} "):
+        return_roofs(loop_ccc(), samples)
+    with pytest.raises(ValueError, match=f"samples = {samples} "):
+        roof_tail(loop_ccc(), samples)
 
 
 @pytest.mark.parametrize("grid", [[-1.0, 2.0], [2.0, 0.0], [math.inf], [math.nan, 2.0]])

@@ -5,9 +5,7 @@ Hausdorff-dimension upper bounds."""
 __version__ = "0.1.0"
 
 from .induction import (  # noqa: F401
-    AcceleratedStep,
     Hole,
-    HoleAfter,
     HoleAt,
     SpecialSystem,
     Step,
@@ -30,7 +28,6 @@ from .graph import (  # noqa: F401
 )
 from .markov import (  # noqa: F401
     ChartPoint,
-    HoleCell,
     MarkovCell,
     apply_T,
     cell_of,

@@ -21,14 +21,11 @@ import numpy as np
 
 from . import __version__
 from .induction import (
-    AcceleratedStep,
     Hole,
-    HoleAfter,
     HoleAt,
     InductionError,
     Survived,
     Tie,
-    TieAfter,
     accelerated_step,
     classify_thin,
     format_scalar,
@@ -125,25 +122,23 @@ def cmd_step(args) -> int:
     current = system
     for i in range(1, args.iters + 1):
         out = accelerated_step(current) if args.accelerated else rauzy_step(current)
-        if isinstance(out, (Hole, HoleAfter)):
+        if isinstance(out, Hole):
             rec = {"iteration": i, "outcome": "hole"}
-            if isinstance(out, HoleAfter):
+            if args.accelerated:
                 rec["substeps"] = out.substeps
             records.append(rec)
             break
-        if isinstance(out, (Tie, TieAfter)):
+        if isinstance(out, Tie):
             records.append({"iteration": i, "outcome": "tie"})
             break
-        rec = {
+        records.append({
             "iteration": i,
             "outcome": "continue",
             "winner": out.winner,
-            "n": out.n if isinstance(out, AcceleratedStep) else 1,
+            "n": out.n,
             "matrix": [list(r) for r in out.matrix],
-            "lengths": [format_scalar(x) for x in out.system.lengths],
-            "order": list(out.system.order),
-        }
-        records.append(rec)
+            **out.system.to_json(),
+        })
         current = out.system
     _emit({"provenance": _provenance(args), "trace": records})
     return EXIT_OK
@@ -258,12 +253,8 @@ def cmd_render(args) -> int:
     points = chaos_game(args.points, seed=seed, workers=args.workers)
     image = rasterize(points, width, height)
     prov = {"version": __version__, "seed": seed, "points": args.points}
-    try:
-        with open(args.out, "wb") as fh:
-            write_pgm(image, fh, provenance=prov)
-    except OSError as exc:
-        log.error("cannot write %s: %s", args.out, exc)
-        return EXIT_IO
+    with open(args.out, "wb") as fh:
+        write_pgm(image, fh, provenance=prov)
     _emit({"provenance": _provenance(args, seed=seed), "out": args.out,
            "occupied_pixels": int(np.count_nonzero(image))})
     return EXIT_OK
@@ -273,16 +264,12 @@ def cmd_points(args) -> int:
     seed = _seed_of(args)
     points = chaos_game(args.points, seed=seed, workers=args.workers)
     prov = {"version": __version__, "seed": seed, "points": args.points}
-    try:
-        if args.format == "csv":
-            with open(args.out, "w") as fh:
-                write_points_csv(points, fh, provenance=prov)
-        else:
-            with open(args.out, "wb") as fh:
-                write_points_binary(points, fh)
-    except OSError as exc:
-        log.error("cannot write %s: %s", args.out, exc)
-        return EXIT_IO
+    if args.format == "csv":
+        with open(args.out, "w") as fh:
+            write_points_csv(points, fh, provenance=prov)
+    else:
+        with open(args.out, "wb") as fh:
+            write_points_binary(points, fh)
     _emit({"provenance": _provenance(args, seed=seed), "out": args.out})
     return EXIT_OK
 

@@ -48,8 +48,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graph import START, apply_kind
-from .induction import CYC, STAY, SWAP, format_scalar
+from .graph import START
+from .induction import CYC, STAY, SWAP, apply_kind, format_scalar
 from .markov import _CLOUD_BLOCK, chaos_game
 # perfbench's Dimension.trace_targets looks up survivor_mass,
 # enumerate_cylinders, elementary_children, block_child and hole_mass_at

@@ -27,15 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .induction import (
-    CYC,
-    KINDS,
-    LETTERS,
-    STAY,
-    SWAP,
-    Letter,
-    _mat_mul,
-)
+from .induction import IDENTITY, KINDS, LETTERS, STAY, Letter, _mat_mul, apply_kind
 
 Perm3 = tuple[Letter, Letter, Letter]
 
@@ -45,17 +37,6 @@ HOLE_VERTEX = "hole"
 
 class NonComposablePath(Exception):
     pass
-
-
-def apply_kind(state: Perm3, kind: str) -> Perm3:
-    """Target ordering of one elementary step from ``state``."""
-    if kind == STAY:
-        return state
-    if kind == SWAP:
-        return (state[1], state[0], state[2])
-    if kind == CYC:
-        return (state[1], state[2], state[0])
-    raise ValueError(f"unknown step kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -245,7 +226,7 @@ def path_from_kinds(start: Perm3, kinds: Sequence[str]) -> RauzyPath:
 
 def cocycle_of(path: RauzyPath) -> tuple[tuple[int, int, int], ...]:
     """Path-ordered product of the letter-coordinate length blocks."""
-    m = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    m = IDENTITY
     for st in path.steps:
         m = _mat_mul(m, length_block(st.winner, st.n))
     return m
@@ -272,52 +253,36 @@ def enumerate_paths(start: Perm3, length: int) -> Iterator[RauzyPath]:
 
 # --- exhaustive completeness => positivity check ---------------------------
 
-def _pattern_mul(p: int, winner: Letter) -> int:
-    # pattern of P . M_w: columns u, v pick up column w (no cancellation:
-    # all entries are nonnegative, so positivity is pure boolean algebra)
-    w = winner - 1
-    out = p
-    colw = [(p >> (3 * i + w)) & 1 for i in range(3)]
-    for j in range(3):
-        if j == w:
-            continue
-        for i in range(3):
-            if colw[i]:
-                out |= 1 << (3 * i + j)
-    return out
-
-
-FULL_PATTERN = (1 << 9) - 1
-
-
 def verify_complete_implies_positive(max_len: int) -> dict:
     """Exhaustively check that every complete path of elementary length
     <= max_len has an all-positive cocycle matrix.
 
     Positivity and completeness of a path depend only on the ordering
-    state, the zero pattern of the cocycle matrix, and the set of winners
-    so far; those evolve deterministically, so a breadth-first sweep of
-    the (state, pattern, winners) quotient covers all 6 * 3^len paths per
-    length exactly.
+    state, the zero pattern of the cocycle matrix (its entries clamped to
+    0/1: every entry is nonnegative, so no sum cancels), and the set of
+    winners so far; those evolve deterministically, so a breadth-first
+    sweep of the (state, pattern, winners) quotient covers all
+    6 * 3^len paths per length exactly.
     """
     states = list(itertools.permutations(LETTERS))
-    frontier = {
-        (s, 1 << 0 | 1 << 4 | 1 << 8, 0) for s in states
-    }  # identity pattern, empty winner set
+    frontier = {(s, IDENTITY, frozenset()) for s in states}
     violations = []
     nodes = 0
     for depth in range(1, max_len + 1):
         nxt = set()
         for state, pattern, winners in frontier:
             w = state[0]
-            new_winners = winners | (1 << (w - 1))
-            new_pattern = _pattern_mul(pattern, w)
+            new_winners = winners | {w}
+            new_pattern = tuple(
+                tuple(int(x > 0) for x in row)
+                for row in _mat_mul(pattern, length_block(w, 1))
+            )
             for kind in KINDS:
                 node = (apply_kind(state, kind), new_pattern, new_winners)
                 if node in nxt:
                     continue
                 nxt.add(node)
-                if new_winners == 0b111 and new_pattern != FULL_PATTERN:
+                if len(new_winners) == 3 and not all(map(all, new_pattern)):
                     violations.append((depth, node))
         frontier = nxt
         nodes += len(nxt)

@@ -30,14 +30,24 @@ STAY_MATRIX = ((1, 1, 1), (0, 1, 0), (0, 0, 1))
 SWAP_MATRIX = ((1, 1, 1), (1, 0, 0), (0, 0, 1))
 CYC_MATRIX = ((1, 1, 1), (1, 0, 0), (0, 1, 0))
 
-# Rank transition labels (image of each pre-step rank in the post-step
-# ranking).
+# How a step ends: the shrunk leader keeps first place (stay), drops to
+# second (swap) or to third (cyc).
 STAY = "stay"
 SWAP = "swap"
 CYC = "cyc"
 KINDS = (STAY, SWAP, CYC)
-TRANSITIONS = {STAY: (1, 2, 3), SWAP: (2, 1, 3), CYC: (3, 1, 2)}
 STEP_MATRICES = {STAY: STAY_MATRIX, SWAP: SWAP_MATRIX, CYC: CYC_MATRIX}
+
+
+def apply_kind(order: tuple, kind: str) -> tuple:
+    """The ordering after one elementary step of the given kind."""
+    if kind == STAY:
+        return order
+    if kind == SWAP:
+        return (order[1], order[0], order[2])
+    if kind == CYC:
+        return (order[1], order[2], order[0])
+    raise ValueError(f"unknown step kind {kind!r}")
 
 
 class InductionError(Exception):
@@ -77,6 +87,9 @@ def accelerated_matrix(n: int, kind: str) -> tuple[tuple[int, int, int], ...]:
     if kind == CYC:
         return ((n, n, 1), (1, 0, 0), (0, 1, 0))
     raise ValueError(f"accelerated steps end with swap or cyc, not {kind!r}")
+
+
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _mat_mul(a, b):
@@ -146,6 +159,21 @@ def format_scalar(x) -> str:
     return f"{sign}{_decimal(abs(f.numerator))}/{_decimal(f.denominator)}"
 
 
+def _integer(text: str) -> int:
+    """int(text) for an integer of any size: the digits are read in pieces
+    of ``_DIGITS``, as ``_decimal`` writes them."""
+    text = text.strip()
+    if len(text) <= _DIGITS:
+        return int(text)
+    digits = text[1:] if text[0] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer of {len(text)} characters")
+    value = int(digits[-_DIGITS:])
+    if len(digits) > _DIGITS:
+        value += _integer(digits[:-_DIGITS]) * _PIECE
+    return -value if text[0] == "-" else value
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or a bare integer.  Decimal notation is rejected: the
     induction is exact and silently rounding inputs would corrupt hole
@@ -155,10 +183,11 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"exact rational required (p/q), got {text!r}")
     if "/" in text:
         num, _, den = text.partition("/")
-        if int(den) == 0:
+        den = _integer(den)
+        if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text), 1)
+        return Fraction(_integer(num), den)
+    return Fraction(_integer(text), 1)
 
 
 def make_system(a, b, c) -> SpecialSystem:
@@ -184,34 +213,41 @@ def make_system(a, b, c) -> SpecialSystem:
 
 @dataclass(frozen=True)
 class Step:
-    """A completed induction step."""
+    """A completed step: n wins of ``winner``, ended by ``kind``.  An
+    elementary step has n == 1 and any kind; an accelerated step ends with
+    swap or cyc.  The new ordering is ``apply_kind(old order, kind)``."""
 
     system: SpecialSystem
     winner: Letter
-    matrix: tuple  # rank-coordinate length matrix, old = matrix . new
+    n: int
     kind: str  # stay / swap / cyc
-    transition: tuple[int, int, int]  # pre-step rank -> post-step rank
-    new_order: tuple[Letter, Letter, Letter]
+    matrix: tuple  # rank-coordinate length matrix, old = matrix . new
 
 
 @dataclass(frozen=True)
 class Hole:
-    """The longest pair is shorter than the other two combined; the
-    induction stops and the system has points with finite orbits."""
+    """The longest pair is shorter than the other two combined, after
+    ``substeps`` wins of the same leader; the induction stops and the
+    system has points with finite orbits."""
+
+    substeps: int = 0
 
 
 @dataclass(frozen=True)
 class Tie:
-    """An exact tie was hit mid-step."""
+    """An exact tie was hit mid-step, after ``substeps`` wins of the same
+    leader."""
+
+    substeps: int = 0
 
 
 def rauzy_step(s: SpecialSystem):
     """One elementary induction step.
 
-    Returns Step, Hole, or Tie.  On Step, the winner's length drops to
-    a - b - c, everything is renormalized to sum 1 again, and the
-    rank-coordinate matrix recovers the old sorted lengths from the new
-    unnormalized sorted lengths.
+    Returns Step (with n == 1), Hole, or Tie.  On Step, the winner's
+    length drops to a - b - c, everything is renormalized to sum 1 again,
+    and the rank-coordinate matrix recovers the old sorted lengths from
+    the new unnormalized sorted lengths.
     """
     a, b, c = s.sorted_lengths()
     rest = b + c
@@ -235,65 +271,32 @@ def rauzy_step(s: SpecialSystem):
         (rem if w == winner else s.lengths[w - 1]) / total for w in LETTERS
     )
     new_system = make_system(*new_lengths)
-
-    o = s.order
-    expected_order = {
-        STAY: o,
-        SWAP: (o[1], o[0], o[2]),
-        CYC: (o[1], o[2], o[0]),
-    }[kind]
-    assert new_system.order == expected_order
+    assert new_system.order == apply_kind(s.order, kind)
     return Step(
-        system=new_system,
-        winner=winner,
-        matrix=STEP_MATRICES[kind],
-        kind=kind,
-        transition=TRANSITIONS[kind],
-        new_order=new_system.order,
+        system=new_system, winner=winner, n=1, kind=kind, matrix=STEP_MATRICES[kind]
     )
 
 
 # --- generalized (accelerated) step --------------------------------------
 
-@dataclass(frozen=True)
-class AcceleratedStep:
-    """n consecutive wins of one letter, ended by a reordering."""
-
-    n: int
-    system: SpecialSystem
-    winner: Letter
-    matrix: tuple  # composite rank-coordinate matrix
-    kind: str  # swap or cyc: how the block ended
-    new_order: tuple[Letter, Letter, Letter]
-
-
-@dataclass(frozen=True)
-class HoleAfter:
-    substeps: int  # elementary wins completed before the hole
-
-
-@dataclass(frozen=True)
-class TieAfter:
-    substeps: int
-
-
 def accelerated_step(s: SpecialSystem):
     """Iterate rauzy_step while the same letter keeps winning.
 
-    The composite matrix is computed as the product of the elementary
-    rank matrices and checked against the closed-form shape with the
-    counter n; the two must agree exactly.
+    Returns Step with n the number of wins, or Hole / Tie with
+    ``substeps`` the wins completed before it.  The composite matrix is
+    computed as the product of the elementary rank matrices and checked
+    against the closed-form shape with the counter n; the two must agree
+    exactly.
     """
-    winner = s.winner
     current = s
-    product = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    product = IDENTITY
     wins = 0
     while True:
         out = rauzy_step(current)
         if isinstance(out, Hole):
-            return HoleAfter(substeps=wins)
+            return Hole(substeps=wins)
         if isinstance(out, Tie):
-            return TieAfter(substeps=wins)
+            return Tie(substeps=wins)
         wins += 1
         product = _mat_mul(product, out.matrix)
         current = out.system
@@ -301,13 +304,8 @@ def accelerated_step(s: SpecialSystem):
             continue
         closed = accelerated_matrix(wins, out.kind)
         assert product == closed, "composite matrix disagrees with product"
-        return AcceleratedStep(
-            n=wins,
-            system=current,
-            winner=winner,
-            matrix=product,
-            kind=out.kind,
-            new_order=current.order,
+        return Step(
+            system=current, winner=s.winner, n=wins, kind=out.kind, matrix=product
         )
 
 
@@ -341,9 +339,9 @@ def classify_thin(s: SpecialSystem, max_iters: int):
     current = s
     for i in range(1, max_iters + 1):
         out = accelerated_step(current)
-        if isinstance(out, HoleAfter):
+        if isinstance(out, Hole):
             return HoleAt(iteration=i)
-        if isinstance(out, TieAfter):
+        if isinstance(out, Tie):
             return TieAt(iteration=i)
         current = out.system
     return Survived(depth=max_iters)

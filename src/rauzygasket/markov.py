@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .induction import CYC, SWAP, accelerated_matrix
+from .induction import CYC, SWAP, Hole, accelerated_matrix
 
 BOUNDARY_TOL = 1e-14
 POINTS_MAGIC = b"RGPTS001"
@@ -97,14 +97,6 @@ class MarkovCell:
             raise ValueError(f"cell kind must be swap or cyc, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class HoleCell:
-    """The run dies: after ``steps`` wins the leader is still longest but
-    shorter than the other two combined.  steps == 0 iff a < 1/2."""
-
-    steps: int
-
-
 def _counter(a, b, s) -> int:
     """First j >= 1 with a - j s < b.  The float floor can be off by one
     near boundaries, so nudge with exact comparisons."""
@@ -126,8 +118,8 @@ def _counter_batch(a, b, s):
 
 
 def _step(p: ChartPoint, tol: float = BOUNDARY_TOL):
-    """The accelerated step at p: (cell, D, image), or (HoleCell, None,
-    None) if the run dies.
+    """The accelerated step at p: (cell, D, image), or (Hole, None, None)
+    if the run dies, with ``substeps`` the wins before it (0 iff a < 1/2).
 
     A point on a cell boundary raises TieOnBoundary: an exact point when
     a margin is 0, a float point when a margin is below ``tol``, since its
@@ -143,23 +135,23 @@ def _step(p: ChartPoint, tol: float = BOUNDARY_TOL):
     if margin < tol if isinstance(a, float) else margin == 0:
         raise TieOnBoundary(f"({a}, {b}) is on a cell boundary (tolerance {tol} for floats)")
     if rem < 0:
-        return HoleCell(steps=n - 1), None, None
+        return Hole(substeps=n - 1), None, None
     d = a - (n - 1) * s
     cell = MarkovCell(n=n, kind=SWAP if rem > c else CYC)
     return cell, d, ChartPoint(b / d, max(rem, c) / d)
 
 
 def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
-    """Markov cell of a chart point, or HoleCell; TieOnBoundary on a cell
+    """Markov cell of a chart point, or Hole; TieOnBoundary on a cell
     boundary (see ``_step``)."""
     return _step(p, tol)[0]
 
 
 def apply_T(p: ChartPoint):
     """One accelerated step: returns (image ChartPoint, MarkovCell), or
-    HoleCell.  The image is re-sorted, so it is again a chart point."""
+    Hole.  The image is re-sorted, so it is again a chart point."""
     cell, _, image = _step(p)
-    if isinstance(cell, HoleCell):
+    if isinstance(cell, Hole):
         return cell
     return image.validate(), cell
 
@@ -168,7 +160,7 @@ def jacobian(p: ChartPoint) -> float:
     """Expansion factor D^-3 of the branch through p.  For an exact point
     D is exact and the factor is rounded once."""
     cell, d, _ = _step(p)
-    if isinstance(cell, HoleCell):
+    if isinstance(cell, Hole):
         raise ValueError("no branch through a hole point")
     return float(1 / d**3)
 

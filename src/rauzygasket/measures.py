@@ -34,17 +34,15 @@ import numpy as np
 from .graph import (
     START,
     RauzyPath,
-    apply_kind,
     cocycle_of,
     is_complete,
     is_positive,
     path_from_blocks,
 )
-from .induction import CYC, STAY, SWAP, _mat_vec
+from .induction import CYC, STAY, SWAP, Hole, _mat_vec, apply_kind
 from .markov import (
     KIND_CODE,
     ChartPoint,
-    HoleCell,
     _step,
     accelerated_step_batch,
     sample_sorted_simplex,
@@ -350,7 +348,7 @@ def _block_totals(point: ChartPoint, blocks: Sequence[tuple[int, str]]):
     """
     for n, kind in blocks:
         cell, d, point = _step(point)
-        if isinstance(cell, HoleCell) or (cell.n, cell.kind) != (n, kind):
+        if isinstance(cell, Hole) or (cell.n, cell.kind) != (n, kind):
             raise OutsideCylinder(f"expected block {(n, kind)}, point has {cell}")
         yield d
 
@@ -498,7 +496,7 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
     cum = 0.0
     for m in range(1, max(cap, L) + 1):
         cell, d, image = _step(cur)
-        if isinstance(cell, HoleCell):
+        if isinstance(cell, Hole):
             raise OutsideCylinder(f"orbit fell into a hole after {m - 1} steps")
         sym = (cell.n, cell.kind)
         if m <= L and sym != tokens[m - 1]:

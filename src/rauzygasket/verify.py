@@ -15,11 +15,10 @@ import numpy as np
 
 from .dimension import depth_totals, survivor_mass
 from .graph import verify_complete_implies_positive
-from .induction import CYC, SWAP, format_scalar
+from .induction import CYC, SWAP, Hole, format_scalar
 from .markov import (
     KIND_CODE,
     ChartPoint,
-    HoleCell,
     accelerated_step_batch,
     branch_preimage,
     cell_of,
@@ -152,7 +151,7 @@ def roof_jacobian(samples, seed, workers):
     for x, y in zip(a, b):
         p = ChartPoint(float(x), float(y))
         cell = cell_of(p)
-        if isinstance(cell, HoleCell):
+        if isinstance(cell, Hole):
             continue
         r = roof(p, [(cell.n, cell.kind)])
         j = jacobian(p)

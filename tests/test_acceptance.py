@@ -20,9 +20,9 @@ from rauzygasket.dimension import (
     survivor_mass,
 )
 from rauzygasket.graph import verify_complete_implies_positive
+from rauzygasket.induction import Hole
 from rauzygasket.markov import (
     ChartPoint,
-    HoleCell,
     cell_of,
     chaos_game,
     jacobian,
@@ -94,7 +94,7 @@ def test_criterion_3_roof_jacobian_identity():
             break
         p = ChartPoint(float(x), float(y))
         cell = cell_of(p)
-        if isinstance(cell, HoleCell):
+        if isinstance(cell, Hole):
             continue
         r = roof(p, [(cell.n, cell.kind)])
         j = jacobian(p)

@@ -59,6 +59,35 @@ def test_step_accelerated(capsys):
     assert rec["lengths"] == ["1/4", "9/20", "3/10"]
 
 
+STAY_RECORD = {"iteration": 1, "outcome": "continue", "winner": 1, "n": 1,
+               "matrix": [[1, 1, 1], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("lengths, flags, trace", [
+    (("2/5", "7/20", "1/4"), (), [{"iteration": 1, "outcome": "hole"}]),
+    (("2/5", "7/20", "1/4"), ("--accelerated",),
+     [{"iteration": 1, "outcome": "hole", "substeps": 0}]),
+    (("63/100", "1/5", "17/100"), (),
+     [{**STAY_RECORD, "lengths": ["26/63", "20/63", "17/63"], "order": [1, 2, 3]},
+      {"iteration": 2, "outcome": "hole"}]),
+    (("63/100", "1/5", "17/100"), ("--accelerated",),
+     [{"iteration": 1, "outcome": "hole", "substeps": 1}]),
+    (("1/2", "3/10", "1/5"), (), [{"iteration": 1, "outcome": "tie"}]),
+    (("1/2", "3/10", "1/5"), ("--accelerated",), [{"iteration": 1, "outcome": "tie"}]),
+    (("2/3", "2/9", "1/9"), (),
+     [{**STAY_RECORD, "lengths": ["1/2", "1/3", "1/6"], "order": [1, 2, 3]},
+      {"iteration": 2, "outcome": "tie"}]),
+    (("2/3", "2/9", "1/9"), ("--accelerated",), [{"iteration": 1, "outcome": "tie"}]),
+])
+def test_step_hole_and_tie_records(capsys, lengths, flags, trace):
+    code, out = run_cli(capsys, "step", *lengths, "--iters", "5", *flags)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["trace"] == trace
+    # the key order is part of the output
+    assert [list(rec) for rec in doc["trace"]] == [list(rec) for rec in trace]
+
+
 def test_classify(capsys):
     code, out = run_cli(capsys, "classify", "3/5", "1/4", "3/20", "--iters", "50")
     assert code == 0
@@ -350,12 +379,13 @@ def test_render_size_at_limit_accepted(tmp_path, capsys):
     assert len(data) == data.index(header) + len(header) + RENDER_MAX_SIDE * 64
 
 
-def test_render_io_error(capsys):
-    code, _ = run_cli(
+def test_render_io_error(capsys, caplog):
+    code, out = run_cli(
         capsys, "render", "--points", "10", "--size", "64x64",
         "--out", "/nonexistent-dir/x.pgm",
     )
-    assert code == 4
+    assert (code, out) == (4, "")
+    assert "/nonexistent-dir/x.pgm" in caplog.text
 
 
 def test_points_csv(tmp_path, capsys):

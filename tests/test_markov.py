@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from rauzygasket import markov
-from rauzygasket.induction import AcceleratedStep, accelerated_step, make_system
+from rauzygasket.induction import Hole, Step, accelerated_step, make_system
 from rauzygasket.markov import (
     BOUNDARY_TOL,
     ChartPoint,
-    HoleCell,
     MarkovCell,
     TieOnBoundary,
     _BURN_IN,
@@ -52,7 +51,7 @@ def random_chart_fracs(rng, count, denom=10**6):
 def test_cell_examples():
     assert cell_of(ChartPoint(0.7, 0.18)) == MarkovCell(n=2, kind="cyc")
     assert cell_of(ChartPoint(0.6, 0.25)) == MarkovCell(n=1, kind="swap")
-    assert cell_of(ChartPoint(0.45, 0.30)) == HoleCell(steps=0)
+    assert cell_of(ChartPoint(0.45, 0.30)) == Hole(substeps=0)
 
 
 def test_cell_hole_iff_leader_below_half():
@@ -61,9 +60,9 @@ def test_cell_hole_iff_leader_below_half():
     for x, y in zip(a, b):
         cell = cell_of(ChartPoint(float(x), float(y)))
         if x < 0.5:
-            assert cell == HoleCell(steps=0)
+            assert cell == Hole(substeps=0)
         else:
-            assert not (isinstance(cell, HoleCell) and cell.steps == 0)
+            assert not (isinstance(cell, Hole) and cell.substeps == 0)
 
 
 def test_cell_exact_boundary_raises():
@@ -81,7 +80,7 @@ def test_cell_float_boundary_raises():
 def test_mid_run_hole_cells():
     # leader above 1/2 but the run dies at the second win:
     # r1 = 0.26 > b = 0.2, r2 = -0.11 < 0
-    assert cell_of(ChartPoint(0.63, 0.2)) == HoleCell(steps=1)
+    assert cell_of(ChartPoint(0.63, 0.2)) == Hole(substeps=1)
 
 
 # --- forward map ------------------------------------------------------------------
@@ -97,7 +96,7 @@ def test_apply_T_worked_example():
 
 
 def test_apply_T_hole():
-    assert apply_T(ChartPoint(0.45, 0.30)) == HoleCell(steps=0)
+    assert apply_T(ChartPoint(0.45, 0.30)) == Hole(substeps=0)
 
 
 def test_perron_fixed_point():
@@ -207,7 +206,7 @@ def test_exact_and_float_agree_away_from_boundaries():
         except TieOnBoundary:
             continue
         assert c1 == c2
-        if isinstance(c1, HoleCell):
+        if isinstance(c1, Hole):
             continue
         i1, _ = apply_T(exact_p)
         i2, _ = apply_T(float_p)
@@ -259,8 +258,8 @@ def test_batch_step_matches_scalar_cells():
             cell = cell_of(ChartPoint(float(a[i]), float(b[i])), tol=1e-300)
         except TieOnBoundary:
             continue
-        if isinstance(cell, HoleCell):
-            assert not alive[i] and n[i] == cell.steps + 1
+        if isinstance(cell, Hole):
+            assert not alive[i] and n[i] == cell.substeps + 1
         else:
             assert alive[i] and n[i] == cell.n
             assert kind[i] == (0 if cell.kind == "swap" else 1)
@@ -361,8 +360,8 @@ def test_float_cells_agree_with_exact_at_boundaries_and_deep_counters():
     a, b, _ = (np.array(col) for col in zip(*cells))
     _, _, n, kind, _, alive = accelerated_step_batch(a, b)
     for i, (_, _, cell) in enumerate(cells):
-        if isinstance(cell, HoleCell):
-            assert not alive[i] and n[i] == cell.steps + 1
+        if isinstance(cell, Hole):
+            assert not alive[i] and n[i] == cell.substeps + 1
         else:
             assert alive[i] and n[i] == cell.n
             assert kind[i] == (0 if cell.kind == "swap" else 1)
@@ -377,14 +376,13 @@ def test_chart_matches_interval_induction():
         acc = accelerated_step(s)
         p = ChartPoint.from_fractions(a, b)
         out = apply_T(p)
-        if isinstance(acc, AcceleratedStep):
+        if isinstance(acc, Step):
             img, cell = out
             assert cell.n == acc.n
             assert cell.kind == acc.kind
             assert img.exact()[:2] == acc.system.sorted_lengths()[:2]
         else:
-            assert isinstance(out, HoleCell)
-            assert out.steps == acc.substeps
+            assert out == acc
 
 
 # --- chaos game -------------------------------------------------------------------------

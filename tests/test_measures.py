@@ -13,10 +13,9 @@ from rauzygasket.graph import (
     path_from_blocks,
     path_from_kinds,
 )
-from rauzygasket.induction import CYC, SWAP, _mat_vec, accelerated_matrix
+from rauzygasket.induction import CYC, SWAP, Hole, _mat_vec, accelerated_matrix
 from rauzygasket.markov import (
     ChartPoint,
-    HoleCell,
     MarkovCell,
     TieOnBoundary,
     _counter_batch,
@@ -635,7 +634,7 @@ def _random_exact_points(rng, count, box):
 def _starts_with_loop(p, blocks):
     for block in blocks:
         cell, _, p = _step(p)
-        if isinstance(cell, HoleCell) or (cell.n, cell.kind) != block:
+        if isinstance(cell, Hole) or (cell.n, cell.kind) != block:
             return False
     return True
 

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,16 @@ def cmd_tail(args) -> int:
 
 # --- render -----------------------------------------------------------------------
 
+def _stage(name: str, workers: int, fn, /, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with its wall time logged at DEBUG as one
+    JSON line, as ``dimension_report`` logs its stages."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    log.debug("%s", json.dumps({"stage": name, "wall_s": time.perf_counter() - t0,
+                                "workers": workers}))
+    return out
+
+
 def cmd_render(args) -> int:
     seed = _seed_of(args)
     try:
@@ -250,11 +261,13 @@ def cmd_render(args) -> int:
     if max(width, height) > RENDER_MAX_SIDE:
         log.error("size must be at most %dx%d", RENDER_MAX_SIDE, RENDER_MAX_SIDE)
         return EXIT_BAD_INPUT
-    points = chaos_game(args.points, seed=seed, workers=args.workers)
-    image = rasterize(points, width, height)
     prov = {"version": __version__, "seed": seed, "points": args.points}
-    with open(args.out, "wb") as fh:
-        write_pgm(image, fh, provenance=prov)
+    with open(args.out, "wb") as fh:  # an unwritable path fails before the work
+        points = _stage("chaos_game", args.workers, chaos_game, args.points, seed=seed,
+                        workers=args.workers)
+        image = _stage("rasterize", args.workers, rasterize, points, width, height,
+                       workers=args.workers)
+        _stage("write", 1, write_pgm, image, fh, provenance=prov)
     _emit({"provenance": _provenance(args, seed=seed), "out": args.out,
            "occupied_pixels": int(np.count_nonzero(image))})
     return EXIT_OK
@@ -262,13 +275,12 @@ def cmd_render(args) -> int:
 
 def cmd_points(args) -> int:
     seed = _seed_of(args)
-    points = chaos_game(args.points, seed=seed, workers=args.workers)
     prov = {"version": __version__, "seed": seed, "points": args.points}
-    if args.format == "csv":
-        with open(args.out, "w") as fh:
+    with open(args.out, "w" if args.format == "csv" else "wb") as fh:
+        points = chaos_game(args.points, seed=seed, workers=args.workers)
+        if args.format == "csv":
             write_points_csv(points, fh, provenance=prov)
-    else:
-        with open(args.out, "wb") as fh:
+        else:
             write_points_binary(points, fh)
     _emit({"provenance": _provenance(args, seed=seed), "out": args.out})
     return EXIT_OK

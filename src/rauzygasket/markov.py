@@ -23,6 +23,7 @@ summation tell the two arithmetics apart.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -37,7 +38,9 @@ POINTS_MAGIC = b"RGPTS001"
 _CHAIN_BLOCK = 4096  # chaos-game chains advanced together; wide enough that
 # a step's numpy calls cost more than their interpreter overhead, and part
 # of the seeded stream, since it sets the shape of the draw array
-_TILE = 64  # chaos-game output steps buffered before the chain-major copy
+_TILE = 32  # chaos-game output steps per tile; two tiles take turns, so one
+# is copied into the result while the other fills
+_COPY_CHAINS = 256  # chains per slice of a tile copy, so a slice stays in cache
 _BURN_IN = 64  # chaos-game steps from the barycenter before output starts
 _CLOUD_BLOCK = 1 << 15  # points per block of rasterize and box counting,
 # so their temporaries fit in cache whatever the cloud
@@ -242,6 +245,23 @@ def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+# --- blocks on worker threads -----------------------------------------------
+
+def _run_blocks(fn, blocks, workers: int):
+    """Run ``fn(i, size)`` over the (index, size) blocks and return the
+    results in block order, on at most ``workers`` threads and never more
+    threads than blocks; with one, on the calling thread.  A block's result
+    must depend only on its arguments, so the results are independent of
+    worker count."""
+    workers = min(workers, len(blocks))
+    if workers <= 1:
+        return [fn(i, size) for i, size in blocks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda args: fn(*args), blocks))
+
+
 # --- the gasket as an attractor ---------------------------------------------
 
 def chaos_game(
@@ -260,15 +280,24 @@ def chaos_game(
     One generator, ``default_rng(seed)``, draws every move of the call
     step-major as ``uint8``: row ``step`` holds that step's draw for each
     chain, so a step reads one contiguous row and advances three 1-D
-    coordinate arrays.  Output steps are buffered in a ``_TILE``-step tile
-    and copied into the chain-major result a tile at a time.  Memory: 16
-    bytes per point for the result, one byte per step and chain for the
-    draws, and the fixed tile.
+    coordinate arrays.  The steps run in chunks of at most ``_TILE``: the
+    burn-in, then the output steps, whose chunks are tiles.  Two sets of
+    buffers take turns, each the scatter indices of a chunk's moves,
+    computed once per chunk, and a tile of its output.  Once a chunk is
+    stepped, its tile is copied into the chain-major result
+    ``_COPY_CHAINS`` chains at a time, and the indices of the chunk after
+    next go into the freed buffers.  Memory: 16 bytes per point for the
+    result, one byte per step and chain for the draws, and the two sets of
+    buffers, fixed.
 
-    All chains advance together on the calling thread: ``workers`` is
-    accepted for a uniform call signature but unused, so the output
-    cannot depend on it.  Two threads of 2048 chains each gave no gain:
-    at that width each numpy call costs mostly interpreter time.
+    All chains advance together on the calling thread.  With ``workers >
+    1`` one helper thread does that copy and those indices while the
+    calling thread steps the next chunk, and a chunk starts only once the
+    helper is done with its buffers; with ``workers == 1`` the same work
+    runs inline.  More workers add nothing beyond that one helper: two
+    threads of 2048 chains each gave no gain, since at that width each
+    numpy call costs mostly interpreter time.  The moves, the copies and
+    the indices are the same for any ``workers``, so the output is too.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -283,40 +312,66 @@ def chaos_game(
     row = np.arange(chains)
     stride = np.intp(chains)
     total = np.empty(chains)
-    tile = np.empty((2, _TILE, chains))
+    index = np.empty((2, _TILE, chains), dtype=np.intp)
+    tiles = np.empty((2, 2, _TILE, chains))
     out = np.empty((chains, per_chain, 2))
-    for step in range(steps):
-        flat[draws[step] * stride + row] = 1.0
-        np.add(lam[0], lam[1], out=total)  # (l0 + l1) + l2: this order fixes the stream
-        total += lam[2]
-        lam /= total
-        k = step - burn_in
-        if k < 0:
-            continue
-        tile[:, k % _TILE] = lam[:2]
-        if k % _TILE == _TILE - 1 or k == per_chain - 1:
-            lo = k - k % _TILE
-            out[:, lo:k + 1, 0] = tile[0, :k + 1 - lo].T
-            out[:, lo:k + 1, 1] = tile[1, :k + 1 - lo].T
+    # the steps run in chunks of at most _TILE: the burn-in, then the output
+    # steps, a tile each; chunk c uses index[c % 2] and tiles[c % 2]
+    chunks = [(lo, min(lo + _TILE, burn_in)) for lo in range(0, burn_in, _TILE)]
+    chunks += [(lo, min(lo + _TILE, steps)) for lo in range(burn_in, steps, _TILE)]
+
+    def prepare(c):
+        """The scatter indices of chunk c."""
+        lo, hi = chunks[c]
+        idx = np.multiply(draws[lo:hi], stride, out=index[c % 2, :hi - lo])
+        idx += row
+
+    def finish(c):
+        """Copy chunk c's tile, if it is an output chunk, into the result,
+        then prepare chunk c + 2 in the buffers chunk c is done with."""
+        lo, hi = chunks[c]
+        if lo >= burn_in:
+            k, n = lo - burn_in, hi - lo
+            for first in range(0, chains, _COPY_CHAINS):
+                part = slice(first, first + _COPY_CHAINS)
+                out[part, k:k + n, 0] = tiles[c % 2, 0, :n, part].T
+                out[part, k:k + n, 1] = tiles[c % 2, 1, :n, part].T
+        if c + 2 < len(chunks):
+            prepare(c + 2)
+
+    for c in range(min(2, len(chunks))):
+        prepare(c)
+    helper = None
+    if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        helper = ThreadPoolExecutor(1)
+    pending = [None, None]  # what the helper still does with each buffer pair
+    l0, l1, l2 = lam
+    l01 = lam[:2]
+    try:
+        for c, (lo, hi) in enumerate(chunks):
+            if pending[c % 2] is not None:
+                pending[c % 2].result()
+            rows = tiles[c % 2].transpose(1, 0, 2)  # rows[j] is output step j's (l0, l1)
+            for j, idx in enumerate(index[c % 2, :hi - lo]):
+                flat[idx] = 1.0
+                np.add(l0, l1, out=total)  # (l0 + l1) + l2: this order fixes the stream
+                np.add(total, l2, out=total)
+                np.divide(lam, total, out=lam)
+                if lo >= burn_in:
+                    rows[j] = l01
+            if helper is None:
+                finish(c)
+            else:
+                pending[c % 2] = helper.submit(finish, c)
+        for done in pending:
+            if done is not None:
+                done.result()
+    finally:
+        if helper is not None:
+            helper.shutdown()
     return out.reshape(chains * per_chain, 2)[:count]
-
-
-def chaos_game_exact(count: int, seed: int = 0) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Exact-rational chaos game: one chain with the default burn-in,
-    drawing the moves a one-chain float game draws, so
-    ``chaos_game_exact(1, seed)`` is ``chaos_game(1, seed=seed)`` in exact
-    arithmetic."""
-    draws = np.random.default_rng(seed).integers(0, 3, size=_BURN_IN + count, dtype=np.uint8)
-    lam = [Fraction(1, 3)] * 3
-    points = []
-    for step, w in enumerate(draws):
-        lam = list(lam)
-        lam[int(w)] = Fraction(1)
-        total = sum(lam)
-        lam = [x / total for x in lam]
-        if step >= _BURN_IN:
-            points.append(tuple(lam))
-    return points
 
 
 # --- point cloud serialization ----------------------------------------------
@@ -350,29 +405,55 @@ def read_points_binary(fh) -> np.ndarray:
 
 # --- rasterization ------------------------------------------------------------
 
-def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
+def rasterize(points: np.ndarray, width: int, height: int, workers: int = 1) -> np.ndarray:
     """Log-scaled density raster of simplex points in barycentric coords.
 
     Simplex vertices map to an equilateral triangle inscribed in the
     image; brightness is log(1 + hits) rescaled to 0..255.  Points are
-    counted ``_CLOUD_BLOCK`` at a time with ``np.add.at``, so the
-    temporaries have a fixed size whatever the cloud, and the work grows
-    with the point count, not with the pixel count.  The brightness is
-    written into the image a band of about ``_CLOUD_BLOCK`` pixels at a
-    time, so the call holds the counts and the image and no full-size
-    float raster.
+    counted ``_CLOUD_BLOCK`` at a time, so the work grows with the point
+    count, not with the pixel count.  The blocks are dealt out to at most
+    ``workers`` threads in turn, never more threads than blocks.  Each
+    thread computes a block's pixel indices into its own preallocated
+    buffers with in-place ufuncs, then adds them to the one shared
+    ``int64`` count array with ``np.add.at`` under a lock, since ``add.at``
+    is not atomic across threads.  The float expressions are the same for
+    any ``workers`` and integer counts commute, so the image is too.  The
+    brightness is written into the image a band of about ``_CLOUD_BLOCK``
+    pixels at a time, so the call holds the counts, the image and five
+    block-sized rows per thread, and no full-size float raster.
     """
     points = np.asarray(points)
     counts = np.zeros(height * width, dtype=np.int64)
-    for lo in range(0, len(points), _CLOUD_BLOCK):
-        lam1 = points[lo:lo + _CLOUD_BLOCK, 0]
-        lam2 = points[lo:lo + _CLOUD_BLOCK, 1]
-        lam3 = 1.0 - lam1 - lam2
-        x = lam2 + 0.5 * lam3
-        y = (np.sqrt(3.0) / 2.0) * lam3
-        xs = np.clip((x * (width - 1)).astype(np.int64), 0, width - 1)
-        ys = np.clip((y / (np.sqrt(3.0) / 2.0) * (height - 1)).astype(np.int64), 0, height - 1)
-        np.add.at(counts, (height - 1 - ys) * width + xs, 1)
+    threads = min(max(workers, 1), -(-len(points) // _CLOUD_BLOCK))
+    lock = threading.Lock()
+    unit = np.sqrt(3.0) / 2.0  # the height of the unit triangle
+    last = np.array([[width - 1], [height - 1]])  # the last column and row
+
+    def count(first, step):
+        """Count blocks first, first + step, ... of the cloud."""
+        buffers = np.empty((3, _CLOUD_BLOCK)), np.empty((2, _CLOUD_BLOCK), dtype=np.int64)
+        for lo in range(first * _CLOUD_BLOCK, len(points), step * _CLOUD_BLOCK):
+            lam1 = points[lo:lo + _CLOUD_BLOCK, 0]
+            lam2 = points[lo:lo + _CLOUD_BLOCK, 1]
+            floats, ints = (b[:, :len(lam1)] for b in buffers)
+            lam3, xy = floats[0], floats[1:]
+            np.subtract(1.0, lam1, out=lam3)
+            lam3 -= lam2
+            np.multiply(0.5, lam3, out=xy[0])
+            xy[0] += lam2  # x = lam2 + 0.5 lam3
+            np.multiply(unit, lam3, out=xy[1])  # y = unit lam3, then y / unit
+            xy[1] /= unit
+            xy *= last
+            np.copyto(ints, xy, casting="unsafe")
+            np.clip(ints, 0, last, out=ints)
+            xs, ys = ints
+            np.subtract(height - 1, ys, out=ys)
+            ys *= width
+            ys += xs
+            with lock:
+                np.add.at(counts, ys, 1)
+
+    _run_blocks(count, [(t, threads) for t in range(threads)], threads)
     counts = counts.reshape(height, width)
     peak = np.log1p(counts.max())  # the brightest pixel, as log1p is monotone
     image = np.empty((height, width), dtype=np.uint8)

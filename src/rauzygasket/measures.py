@@ -43,6 +43,7 @@ from .induction import CYC, STAY, SWAP, Hole, _mat_vec, apply_kind
 from .markov import (
     KIND_CODE,
     ChartPoint,
+    _run_blocks,
     _step,
     accelerated_step_batch,
     sample_sorted_simplex,
@@ -174,23 +175,13 @@ def _check_samples(samples: int) -> None:
 
 def _blocks(samples: int):
     """(index, size) of the fixed-size blocks of ``samples`` draws;
-    ValueError unless samples >= 1."""
+    ValueError unless samples >= 1.  Block i always uses the stream seeded
+    (seed, tag, i) and ``_run_blocks`` returns in block order, so results
+    are independent of worker count."""
     _check_samples(samples)
     full, rem = divmod(samples, _BLOCK)
     sizes = [_BLOCK] * full + ([rem] if rem else [])
     return list(enumerate(sizes))
-
-
-def _run_blocks(fn, blocks, workers: int):
-    """Run ``fn(i, size)`` over the (index, size) blocks, in order.  Block
-    i always uses the stream seeded (seed, tag, i), so results are
-    independent of worker count."""
-    if workers <= 1:
-        return [fn(i, size) for i, size in blocks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(*args), blocks))
 
 
 _TAG_KERCKHOFF = 1

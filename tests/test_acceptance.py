@@ -190,8 +190,8 @@ def test_criterion_9_bit_reproducibility_across_workers():
     freq8 = mc_kerckhoff(5.0, samples=3 * (1 << 16) + 7, seed=SEED, workers=8)
     cloud1 = chaos_game(150000, seed=SEED, workers=1)
     cloud8 = chaos_game(150000, seed=SEED, workers=8)
-    img1 = rasterize(cloud1, 256, 256)
-    img8 = rasterize(cloud8, 256, 256)
+    img1 = rasterize(cloud1, 256, 256, workers=1)
+    img8 = rasterize(cloud8, 256, 256, workers=8)
     r1, d1, l1 = return_roofs(loop_ccc(), 5000, seed=SEED, workers=1)
     r8, d8, l8 = return_roofs(loop_ccc(), 5000, seed=SEED, workers=8)
     b1 = mc_balance([2.0, 100.0], samples=30000, seed=SEED, workers=1)

@@ -313,15 +313,18 @@ def test_seed_env_default(capsys, monkeypatch):
 
 
 def test_render_deterministic(tmp_path, capsys):
+    # 300,000 points give two chaos-game tiles and ten raster blocks, so
+    # the helper thread and the raster threads both run at --workers 2
     out1 = tmp_path / "a.pgm"
     out2 = tmp_path / "b.pgm"
-    for path in (out1, out2):
+    for path, workers in ((out1, "1"), (out2, "2")):
         code, _ = run_cli(
             capsys,
             "render",
-            "--points", "20000",
+            "--points", "300000",
             "--seed", "4",
             "--size", "128x128",
+            "--workers", workers,
             "--out", str(path),
         )
         assert code == 0
@@ -379,13 +382,18 @@ def test_render_size_at_limit_accepted(tmp_path, capsys):
     assert len(data) == data.index(header) + len(header) + RENDER_MAX_SIDE * 64
 
 
-def test_render_io_error(capsys, caplog):
-    code, out = run_cli(
-        capsys, "render", "--points", "10", "--size", "64x64",
-        "--out", "/nonexistent-dir/x.pgm",
-    )
-    assert (code, out) == (4, "")
-    assert "/nonexistent-dir/x.pgm" in caplog.text
+def test_render_io_error(capsys, caplog, monkeypatch):
+    import rauzygasket.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an unwritable --out must fail before the chaos game")
+
+    monkeypatch.setattr(cli, "chaos_game", never)
+    for argv in (["render", "--size", "64x64"], ["points", "--format", "csv"],
+                 ["points", "--format", "bin"]):
+        code, out = run_cli(capsys, *argv, "--points", "10", "--out", "/nonexistent-dir/x.pgm")
+        assert (code, out) == (4, "")
+    assert caplog.text.count("/nonexistent-dir/x.pgm") == 3
 
 
 def test_points_csv(tmp_path, capsys):
@@ -474,6 +482,25 @@ def test_verbose_dimension_logs_one_json_line_per_stage():
         doc.pop("timings")
         doc["provenance"]["flags"].pop("verbose")
     assert report == expected
+
+
+def test_verbose_render_logs_one_json_line_per_stage(tmp_path):
+    argv = ["render", "--points", "20000", "--size", "64x64", "--workers", "2",
+            "--out", str(tmp_path / "x.pgm")]
+    quiet, loud = run_cli_process(*argv), run_cli_process("-v", *argv)
+    assert quiet.returncode == loud.returncode == 0
+    lines = [json.loads(line[len("DEBUG "):]) for line in loud.stderr.splitlines()
+             if line.startswith("DEBUG {")]
+    assert [(line["stage"], line["workers"]) for line in lines] == [
+        ("chaos_game", 2), ("rasterize", 2), ("write", 1)]
+    assert all(set(line) == {"stage", "wall_s", "workers"} and line["wall_s"] >= 0
+               for line in lines)
+    assert "DEBUG" not in quiet.stderr
+    # stdout differs only in the recorded flag
+    docs = [json.loads(run.stdout) for run in (quiet, loud)]
+    assert docs[1]["provenance"]["flags"].pop("verbose") == "True"
+    assert docs[0]["provenance"]["flags"].pop("verbose") == "False"
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("argv, code", [

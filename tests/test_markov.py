@@ -1,11 +1,16 @@
+import concurrent.futures
 import io
 import math
 import random
+import sys
+import threading
+import types
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from exactgame import chaos_game_exact
 from rauzygasket import markov
 from rauzygasket.induction import Hole, Step, accelerated_step, make_system
 from rauzygasket.markov import (
@@ -15,12 +20,12 @@ from rauzygasket.markov import (
     TieOnBoundary,
     _BURN_IN,
     _CLOUD_BLOCK,
+    _TILE,
     accelerated_step_batch,
     apply_T,
     cell_of,
     cell_vertices,
     chaos_game,
-    chaos_game_exact,
     inverse_branch,
     jacobian,
     rasterize,
@@ -404,6 +409,69 @@ def test_chaos_game_deterministic_and_worker_independent():
     assert not np.array_equal(a[:1000], d)
 
 
+@pytest.mark.parametrize("count, burn_in", [
+    (1, 64), (4095, 64),  # one point per chain
+    (4096 * _TILE, 64), (4096 * _TILE + 1, 64),  # one tile exactly, and one step past it
+    (4096 * 2 * _TILE, 64), (4096 * 2 * _TILE + 1, 64),  # two tiles; a third reuses the first
+    (4096 * 3 + 17, 64), (4096 * 2 * _TILE + 1, 0),
+])
+def test_chaos_game_same_bytes_for_any_workers(count, burn_in):
+    want = chaos_game(count, burn_in=burn_in, seed=12, workers=1).tobytes()
+    for workers in (2, 3):
+        assert chaos_game(count, burn_in=burn_in, seed=12, workers=workers).tobytes() == want
+
+
+class _LazyFuture:
+    """A task that runs only when its result is asked for."""
+
+    def __init__(self, fn, args):
+        self.task = fn, args
+
+    def result(self):
+        if self.task:
+            fn, args = self.task
+            self.task = None
+            fn(*args)
+
+
+class _LazyExecutor:
+    """An executor whose tasks run as late as a caller that reads every
+    result allows: a tile refilled before its copy was waited on is lost."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def submit(self, fn, *args):
+        return _LazyFuture(fn, args)
+
+    def shutdown(self):
+        pass
+
+
+def test_chaos_game_refills_a_tile_only_after_its_copy(monkeypatch):
+    # the reference stays alive, so a result left unwritten cannot be
+    # memory that still holds it
+    want = chaos_game(4096 * _TILE * 5, seed=14, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LazyExecutor)
+    assert chaos_game(4096 * _TILE * 5, seed=14, workers=2).tobytes() == want.tobytes()
+
+
+def test_threads_agree_under_a_short_switch_interval(monkeypatch):
+    # more threads than cores, thread switches every microsecond, and
+    # chaos-game copies of one chain at a time, slower than filling a tile
+    cloud = chaos_game(4096 * _TILE * 5, seed=14, workers=1)
+    image = rasterize(cloud, 96, 64, workers=1)
+    monkeypatch.setattr(markov, "_COPY_CHAINS", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert chaos_game(4096 * _TILE * 5, seed=14, workers=3).tobytes() == cloud.tobytes()
+            assert rasterize(cloud, 96, 64, workers=8).tobytes() == image.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _scalar_game(draws, burn_in):
     """The float chaos game on given draws, one plain Python update per
     step in the ``(l0 + l1) + l2`` order."""
@@ -431,7 +499,7 @@ def _reference_chain(chain, chains, per_chain, burn_in, seed):
 @pytest.mark.parametrize("burn_in", [64, 0], ids=["64-None", "0-None"])
 def test_chaos_game_matches_scalar_reference(count, burn_in):
     # chain j owns rows j*per_chain .. (j+1)*per_chain - 1 of the output;
-    # 4096 * 65 + 3 points give 66 steps per chain, past one 64-step tile
+    # 4096 * 65 + 3 points give 66 steps per chain, past two 32-step tiles
     pts = chaos_game(count, burn_in=burn_in, seed=11)
     per_chain = -(-count // 4096)
     chains = -(-count // per_chain)
@@ -570,6 +638,45 @@ def test_rasterize_at_block_edges(n):
     pts[-1] = _RASTER_SPECIAL[-1]
     img = rasterize(pts, 96, 64)
     assert img.tobytes() == _reference_raster(pts, 96, 64).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, _CLOUD_BLOCK - 1, _CLOUD_BLOCK + 1, 3 * _CLOUD_BLOCK + 5])
+def test_rasterize_same_bytes_for_any_workers(n):
+    pts = chaos_game(max(n, 1), seed=15)[:n]
+    want = _reference_raster(pts, 96, 64).tobytes()
+    for workers in (1, 2, 3, 8):
+        assert rasterize(pts, 96, 64, workers=workers).tobytes() == want
+
+
+class _CountingLock:
+    """A lock that counts how often it was taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.taken += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_rasterize_adds_every_block_under_one_lock(monkeypatch):
+    # np.add.at is not atomic across threads, so each block's add must hold
+    # the one lock the call shares between its threads
+    locks = []
+
+    def lock():
+        locks.append(_CountingLock())
+        return locks[-1]
+
+    monkeypatch.setattr(markov, "threading", types.SimpleNamespace(Lock=lock))
+    pts = chaos_game(5 * _CLOUD_BLOCK + 5, seed=16)
+    img = rasterize(pts, 96, 64, workers=3)
+    assert img.tobytes() == _reference_raster(pts, 96, 64).tobytes()
+    assert len(locks) == 1 and locks[0].taken == 6
 
 
 def test_rasterize_empty_cloud_is_black():

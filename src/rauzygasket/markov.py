@@ -11,18 +11,21 @@ leading length keeps winning (counter n), then renormalizes and re-sorts:
 Both branches have Jacobian determinant 1 / D^3.  D and (n+1) a - n are
 computed as a - (n - 1) s and a - n s with s = 1 - a, which is exact in
 floats for a >= 1/2; the form n a - (n - 1) would cancel about log10(n)
-digits.  A chart point is in one arithmetic: float coordinates (Monte
-Carlo, rendering) or exact ones such as Fraction (cell boundaries, and
-differential tests against the interval-level induction).  One scalar
-step, ``_step``, runs the same code on both: the counter, the boundary
-test, the hole test, the kind, D and the image.  ``cell_of``, ``apply_T``
-and ``jacobian`` are views of it, and ``measures`` walks the roof and
-first returns through it; only the boundary test and the roof's
-summation tell the two arithmetics apart.
+digits.  That arithmetic, the counter n included, is written once, in
+``_step_core``, for one point and for float arrays alike.  A chart point
+is in one arithmetic: float coordinates (Monte Carlo, rendering) or exact
+ones such as Fraction (cell boundaries, and differential tests against
+the induction on lengths).  One scalar step, ``_step``, runs the same
+code on both: the core, the boundary test, the hole test, the kind and
+the image.  ``cell_of``, ``apply_T`` and ``jacobian`` are views of it,
+and ``measures`` walks the roof and first returns through it; only the
+boundary test and the roof's summation tell the two arithmetics apart.
+``accelerated_step_batch`` is the same step on float arrays.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,24 +103,31 @@ class MarkovCell:
             raise ValueError(f"cell kind must be swap or cyc, got {self.kind!r}")
 
 
-def _counter(a, b, s) -> int:
-    """First j >= 1 with a - j s < b.  The float floor can be off by one
-    near boundaries, so nudge with exact comparisons."""
-    n = int((a - b) / s) + 1
-    while a - n * s >= b:
-        n += 1
-    while n > 1 and a - (n - 1) * s < b:
-        n -= 1
-    return n
-
-
-def _counter_batch(a, b, s):
-    """Vectorized ``_counter`` with the same off-by-one guards."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = np.maximum(np.floor((a - b) / s).astype(np.int64) + 1, 1)
+def _counter(a, b, s):
+    """First j >= 1 with a - j s < b: an int for one point, exact or float,
+    and an int64 array for float arrays.  Only the first guess differs:
+    ``math.floor`` for a scalar (exact for a Fraction, with no int64 limit)
+    and a float floor clamped to 1 for arrays.  A float guess can be off by
+    one near a boundary, which one exact nudge each way corrects."""
+    array = isinstance(a, np.ndarray)
+    if array:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n = np.maximum(np.floor((a - b) / s).astype(np.int64) + 1, 1)
+    else:
+        n = math.floor((a - b) / s) + 1
     n += a - n * s >= b
     n -= (n > 1) & (a - (n - 1) * s < b)
-    return n
+    return n if array else int(n)
+
+
+def _step_core(a, b, n=None):
+    """(c, n, rem, D) of the accelerated step at the chart point (a, b),
+    scalar or arrays: with s = 1 - a, c = s - b, rem = a - n s and
+    D = a - (n - 1) s.  The counter n is counted unless it is given."""
+    s = 1 - a
+    if n is None:
+        n = _counter(a, b, s)
+    return s - b, n, a - n * s, a - (n - 1) * s
 
 
 def _step(p: ChartPoint, tol: float = BOUNDARY_TOL):
@@ -130,16 +140,13 @@ def _step(p: ChartPoint, tol: float = BOUNDARY_TOL):
     max(rem, c) / D): the swap ending keeps rem, the cyc ending c.  It is
     not validated here; ``apply_T`` validates it.
     """
-    a, b, c = p.validate().coords()
-    s = 1 - a
-    n = _counter(a, b, s)
-    rem = a - n * s
-    margin = min(abs(rem), abs(rem - b), abs(rem - c), abs(a - (n - 1) * s - b))
+    a, b = p.validate().a, p.b
+    c, n, rem, d = _step_core(a, b)
+    margin = min(abs(rem), abs(rem - b), abs(rem - c), abs(d - b))
     if margin < tol if isinstance(a, float) else margin == 0:
         raise TieOnBoundary(f"({a}, {b}) is on a cell boundary (tolerance {tol} for floats)")
     if rem < 0:
         return Hole(substeps=n - 1), None, None
-    d = a - (n - 1) * s
     cell = MarkovCell(n=n, kind=SWAP if rem > c else CYC)
     return cell, d, ChartPoint(b / d, max(rem, c) / d)
 
@@ -210,13 +217,9 @@ def accelerated_step_batch(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    s = 1.0 - a
-    c = s - b
-    n = _counter_batch(a, b, s)
-    rem = a - n * s
+    c, n, rem, d = _step_core(a, b)
     alive = rem > 0
     kind = (rem <= c).astype(np.int64)
-    d = a - (n - 1) * s
     with np.errstate(divide="ignore", invalid="ignore"):
         a2 = b / d
         b2 = np.maximum(rem, c) / d  # the swap ending keeps rem, the cyc ending c
@@ -416,8 +419,10 @@ def rasterize(points: np.ndarray, width: int, height: int, workers: int = 1) -> 
     thread computes a block's pixel indices into its own preallocated
     buffers with in-place ufuncs, then adds them to the one shared
     ``int64`` count array with ``np.add.at`` under a lock, since ``add.at``
-    is not atomic across threads.  The float expressions are the same for
-    any ``workers`` and integer counts commute, so the image is too.  The
+    is not atomic across threads, so only the index computation overlaps
+    between threads.  numpy 2.4's ``add.at`` holds the GIL for its whole
+    loop too, but numpy does not promise that, so the lock stays.  The
+    float expressions are the same for any ``workers`` and integer counts commute, so the image is too.  The
     brightness is written into the image a band of about ``_CLOUD_BLOCK``
     pixels at a time, so the call holds the counts, the image and five
     block-sized rows per thread, and no full-size float raster.

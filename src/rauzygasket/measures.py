@@ -45,6 +45,7 @@ from .markov import (
     ChartPoint,
     _run_blocks,
     _step,
+    _step_core,
     accelerated_step_batch,
     sample_sorted_simplex,
 )
@@ -268,7 +269,8 @@ def mc_balance(
 
     ``unresolved`` counts the points that did not complete: they died in
     a hole before every letter won, or were still running after
-    ``_BALANCE_MAX_STEPS`` steps.
+    ``_BALANCE_MAX_STEPS`` steps.  A C that is not above 1, NaN included,
+    raises ValueError naming it; C = +inf is the limit, completion alone.
 
     A block is walked as ``_first_returns`` walks its points, with the
     weights and letters as three rows by rank, leader first, and one
@@ -278,8 +280,9 @@ def mc_balance(
     ``np.where`` per row set move the ranks.
     """
     cs = [float(c) for c in c_grid]
-    if any(c <= 1 for c in cs):
-        raise ValueError("C values must exceed 1")
+    for c in cs:
+        if not c > 1:
+            raise ValueError(f"balance constant C = {c} must exceed 1")
 
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_BALANCE, i))
@@ -550,14 +553,15 @@ def _first_returns(a, b, loop: RauzyPath, cap: int):
     After every step, a point whose image lies in the open section
     triangle (``_in_section``) returns, with the running sum of -log D as
     its roof.  The first L steps are the loop's own blocks, so they take
-    each block's known branch (n, kind): D = a - (n-1) s, rem = a - n s
-    and the image (b / D, c / D) after a cyc ending or (b / D, rem / D)
-    after a swap, the floats that ``accelerated_step_batch`` computes
-    there, without its counter.  A point whose float arithmetic leaves
-    that branch (rem >= b, rem <= 0, the other ending, or D < b when
-    n > 1) is outside the cylinder, where ``first_return`` raises
-    OutsideCylinder, and counts as lost, even if it was back in the
-    triangle before; the arrays are compacted once, after those steps.
+    each block's known branch (n, kind): ``_step_core`` with that n gives
+    c, rem and D, and the image is (b / D, c / D) after a cyc ending or
+    (b / D, rem / D) after a swap, the floats that
+    ``accelerated_step_batch`` computes there, without its counter.  A
+    point whose float arithmetic leaves that branch (rem >= b, rem <= 0,
+    the other ending, or D < b when n > 1) is outside the cylinder, where
+    ``first_return`` raises OutsideCylinder, and counts as lost, even if it
+    was back in the triangle before; the arrays are compacted once, after
+    those steps.
     Each later step runs ``accelerated_step_batch`` on every point, dead
     ones included, then compacts the arrays once, on ``alive &
     ~returned``.  A dead point still has D >= b > 0, so its -log D is
@@ -572,10 +576,7 @@ def _first_returns(a, b, loop: RauzyPath, cap: int):
     # an outside point's junk may be negative or NaN: its D has no log
     with np.errstate(divide="ignore", invalid="ignore"):
         for m, (n, kind) in enumerate(tokens, start=1):
-            s = 1.0 - a
-            c = s - b
-            rem = a - n * s
-            d = a - (n - 1) * s
+            c, _, rem, d = _step_core(a, b, n)
             cyc = kind == CYC
             inside &= (rem < b) & (rem > 0) & ((rem <= c) if cyc else (rem > c))
             if n > 1:

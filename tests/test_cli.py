@@ -47,6 +47,9 @@ def test_step_rejects_decimals(capsys, caplog):
     code, out = run_cli(capsys, "step", "1/0", "1/2", "1/2")
     assert (code, out) == (2, "")
     assert "1/0" in caplog.text
+    # int() reads "1_0" as 10; a length takes only a sign and ASCII digits
+    code, out = run_cli(capsys, "step", "1_0/20", "3/10", "1/5")
+    assert (code, out) == (2, "")
 
 
 def test_step_accelerated(capsys):

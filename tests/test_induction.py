@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from rauzygasket.induction import (
     Hole,
     HoleAt,
-    IntervalPair,
-    IntervalPairSystem,
     NonPositive,
     NotNormalized,
-    PointOutsideSupport,
     SpecialSystem,
     Step,
     Survived,
@@ -20,18 +17,23 @@ from rauzygasket.induction import (
     TieEncountered,
     accelerated_step,
     classify_thin,
-    explore_orbit,
     format_scalar,
     make_system,
     parse_fraction,
     rauzy_step,
+)
+
+from cubicfield import perron_lengths
+from intervals import (
+    IntervalPair,
+    IntervalPairSystem,
+    PointOutsideSupport,
+    explore_orbit,
     reduction_right,
     special_interval_system,
     transmission_right,
     uncovered_gaps,
 )
-
-from cubicfield import perron_lengths
 
 
 def random_system(rng, denom=10**6):
@@ -93,6 +95,11 @@ def test_parse_fraction_rejects_decimals():
         parse_fraction("1/0")
     assert parse_fraction("7/2") == F(7, 2)
     assert parse_fraction("3") == F(3)
+    # int() would read these; every length takes only a sign and ASCII digits
+    for text in ("1_0/3", "3/1_0", "\u0663/4", "-\u0663", "+", "", "- 3", "1/+"):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+    assert parse_fraction(" -3/+4 ") == F(-3, 4)
 
 
 # --- transmission / reduction --------------------------------------------------

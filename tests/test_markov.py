@@ -21,6 +21,7 @@ from rauzygasket.markov import (
     _BURN_IN,
     _CLOUD_BLOCK,
     _TILE,
+    _counter,
     accelerated_step_batch,
     apply_T,
     cell_of,
@@ -235,17 +236,16 @@ def test_deep_counter_total_does_not_cancel(n):
     assert jacobian(float_p) == pytest.approx(float(1 / d_float_p**3), rel=1e-6)
 
 
-def test_batch_step_matches_scalar_cells():
-    rng = np.random.default_rng(31)
+def _deep_and_edge_points(rng):
+    """Uniform chart points, then deep counters (s = 1 - a down to 1e-12),
+    then points with b within 4 ulps of a - (n-1) s, where the float floor
+    of (a - b) / s often overshoots and the nudge must correct it."""
     a, b = sample_sorted_simplex(rng, 10**4)
-    # deep counters: s = 1 - a down to 1e-12
     deep = 500
     for scale in (1e-3, 1e-6, 1e-9, 1e-12):
         lead = 1.0 - scale * rng.uniform(1.0, 2.0, deep)
         a = np.concatenate([a, lead])
         b = np.concatenate([b, (1.0 - lead) * rng.uniform(0.51, 0.99, deep)])
-    # counter boundaries: b within 4 ulps of a - (n-1) s, where the float
-    # floor of (a - b) / s often overshoots and the guard must correct it
     edge = 2000
     lead = 1.0 - np.exp(rng.uniform(np.log(1e-12), np.log(0.3), edge))
     s = 1.0 - lead
@@ -253,8 +253,11 @@ def test_batch_step_matches_scalar_cells():
     ulps = rng.integers(-4, 5, edge) * 2.0**-52
     near = (lead - (n0 - 1) * s) * (1.0 + ulps)
     valid = (near > s - near) & (near < s)
-    a = np.concatenate([a, lead[valid]])
-    b = np.concatenate([b, near[valid]])
+    return np.concatenate([a, lead[valid]]), np.concatenate([b, near[valid]])
+
+
+def test_batch_step_matches_scalar_cells():
+    a, b = _deep_and_edge_points(np.random.default_rng(31))
     _, _, n, kind, _, alive = accelerated_step_batch(a, b)
     compared = 0
     for i in range(a.size):
@@ -372,6 +375,45 @@ def test_float_cells_agree_with_exact_at_boundaries_and_deep_counters():
             assert kind[i] == (0 if cell.kind == "swap" else 1)
     assert len(cells) > 0.5 * len(points)
     assert np.count_nonzero(alive & (n > 10**9)) > 100
+
+
+def _counter_reference(a, b, s):
+    """The first j >= 1 with a - j s < b the long way: a truncated float
+    guess, then whole while-loops of exact comparisons each way."""
+    n = int((a - b) / s) + 1
+    while a - n * s >= b:
+        n += 1
+    while n > 1 and a - (n - 1) * s < b:
+        n -= 1
+    return n
+
+
+def test_counter_matches_loop_reference_and_exact_floor():
+    rng = np.random.default_rng(41)
+    a, b = _deep_and_edge_points(rng)
+    bound = np.array(_float_boundary_points(rng, 600)).T
+    a, b = np.concatenate([a, bound[0]]), np.concatenate([b, bound[1]])
+    chart = (0 < b) & (b < a) & (a < 1)
+    a, b = a[chart], b[chart]
+    s = 1.0 - a
+    reference = [_counter_reference(x, y, 1.0 - x) for x, y in zip(a.tolist(), b.tolist())]
+    scalar = [_counter(x, y, 1.0 - x) for x, y in zip(a.tolist(), b.tolist())]
+    assert scalar == reference
+    # numpy float scalars count as scalars too, with an int counter
+    numpy_scalar = [_counter(x, y, 1.0 - x) for x, y in zip(a[:500], b[:500])]
+    assert all(type(n) is int for n in scalar + numpy_scalar)
+    assert numpy_scalar == reference[:500]
+    assert _counter(a, b, s).tolist() == reference
+    assert max(reference) > 10**11
+    # exact points: the same floats as Fractions, a point on the line
+    # b = a - 5 s (so n = 6), and counters past int64
+    exact = [(F(x), F(y)) for x, y in zip(a[::7].tolist(), b[::7].tolist())]
+    exact += [(F(17, 20), F(1, 10))] + [(1 - F(1, 10**k), F(6, 10**(k + 1))) for k in (20, 30)]
+    for x, y in exact:
+        n = _counter(x, y, 1 - x)
+        assert n == (x - y) // (1 - x) + 1 == _counter_reference(x, y, 1 - x)
+    assert _counter(F(17, 20), F(1, 10), F(3, 20)) == 6
+    assert _counter(*exact[-1], 1 - exact[-1][0]) > 2**63
 
 
 def test_chart_matches_interval_induction():

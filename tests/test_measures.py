@@ -18,7 +18,7 @@ from rauzygasket.markov import (
     ChartPoint,
     MarkovCell,
     TieOnBoundary,
-    _counter_batch,
+    _counter,
     _step,
     accelerated_step_batch,
     apply_T,
@@ -359,7 +359,7 @@ def _kerckhoff_reference(t, samples, seed):
     for i, size in _blocks(samples):
         a, b = sample_sorted_simplex(np.random.default_rng((seed, _TAG_KERCKHOFF, i)), size)
         s = 1.0 - a
-        n = _counter_batch(a, b, s)
+        n = _counter(a, b, s)
         rem = a - n * s
         wins = np.where(rem > 0, n, n - 1)
         hits += int(np.count_nonzero(1.0 + wins > t))
@@ -438,6 +438,12 @@ def test_balance_matches_per_sample_reference(seed):
 def test_balance_rejects_c_below_one():
     with pytest.raises(ValueError):
         mc_balance([0.5], samples=100, seed=0)
+    # NaN fails every comparison, so it must be rejected, not read as "no hit"
+    with pytest.raises(ValueError, match="C = nan"):
+        mc_balance([2.0, math.nan], samples=100, seed=0)
+    # C = inf is the limit: every completed path is balanced
+    row = mc_balance([math.inf], samples=1000, seed=0)[0]
+    assert row["probability"] == row["completed"] / 1000 and row["target"] == 0.0
 
 
 # --- roof function ------------------------------------------------------------------------

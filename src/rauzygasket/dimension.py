@@ -525,7 +525,7 @@ class BoxCountFit:
     counts: list[int]
 
 
-_MAX_LEVEL = 31  # finest grid 2**-31; two 32-bit box indices fill a 64-bit Morton code
+_MAX_LEVEL = 31  # finest grid 2**-31; two box indices below 2**32 fill a uint64 key
 
 
 def _dyadic_level(size: float) -> int:
@@ -537,43 +537,54 @@ def _dyadic_level(size: float) -> int:
     return k
 
 
-def _spread_bits(x: np.ndarray) -> np.ndarray:
-    """Move bit i of each 32-bit value to bit 2i."""
-    x = x.astype(np.uint64)
-    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
-                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
-                        (1, 0x5555555555555555)):
-        x = (x | (x << shift)) & mask
-    return x
-
-
 def _box_counts(pts: np.ndarray, levels: Sequence[int]) -> list[int]:
-    """Occupied boxes of the 2**-k grid for each k in ``levels``.
+    """Occupied boxes of the 2**-k grid for each k in ``levels``, for an
+    (N, 2) cloud.
 
-    Box indices are taken once, at the finest grid, and interleaved into
-    Morton codes, so a box of a coarser grid k is a run of codes sharing
-    the top bits: one sort, then the distinct prefixes at each level.
-    The codes are computed ``_CLOUD_BLOCK`` points at a time into one
-    array, so the temporaries beside it have a fixed size whatever the
-    cloud."""
-    finest = max(levels)
+    One min/max pass over the cloud rejects non-finite points and points
+    too far outside [0, 1]^2, and gives ``bits``, the bit length of the
+    largest box index at the finest grid.  A box (i, j) is then the
+    row-major key (i << bits) | j: uint32 when two indices fit in 32 bits
+    (every grid down to 2**-16 for a cloud in the unit square), else
+    uint64.  The keys are computed ``_CLOUD_BLOCK`` points at a time into
+    one array, so the temporaries beside it have a fixed size whatever the
+    cloud.  One sort of that array and a neighbour compare give the boxes
+    of the finest grid; each coarser grid halves i and j of the distinct
+    keys of the grid below, then sorts and dedupes that much smaller
+    array."""
     if len(pts) == 0:
         return [0 for _ in levels]
-    codes = np.zeros(len(pts), dtype=np.uint64)
+    low, high = pts.min(), pts.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        row = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
+        raise ValueError(f"point {row} has non-finite coordinates {pts[row].tolist()}")
+    finest = max(levels)
+    scale = 2.0**finest
+    # a point exactly on a box boundary belongs to the lower-index box, so
+    # the index is ceil(x 2**k) - 1, clamped at 0
+    top = float(high) * scale
+    if top > 2.0**32:
+        raise ValueError("points lie too far outside [0, 1]^2 for the finest grid")
+    bits = (math.ceil(max(top, 1.0)) - 1).bit_length()
+    dtype = np.uint32 if 2 * bits <= 32 else np.uint64
+    keys = np.empty(len(pts), dtype=dtype)
     for lo in range(0, len(pts), _CLOUD_BLOCK):
-        block = codes[lo:lo + _CLOUD_BLOCK]
-        for axis in (0, 1):
-            # a point exactly on a box boundary belongs to the lower-index box
-            idx = np.ceil(pts[lo:lo + _CLOUD_BLOCK, axis] * 2.0**finest).astype(np.int64) - 1
-            np.maximum(idx, 0, out=idx)
-            if idx.max() >= 1 << 32:
-                raise ValueError("points lie too far outside [0, 1]^2 for the finest grid")
-            block |= _spread_bits(idx) << np.uint64(axis)
-    codes.sort()
-    # the highest differing bit of two neighbours says up to which grid
-    # they share a box
-    change = codes[1:] ^ codes[:-1]
-    return [1 + int(np.count_nonzero(change >= 1 << 2 * (finest - k))) for k in levels]
+        idx = np.ceil(pts[lo:lo + _CLOUD_BLOCK] * scale)
+        np.maximum(idx, 1.0, out=idx)
+        idx -= 1.0
+        ij = idx.astype(dtype)
+        keys[lo:lo + _CLOUD_BLOCK] = (ij[:, 0] << bits) | ij[:, 1]
+    mask = (1 << bits) - 1
+    counts = {}
+    below = finest
+    for k in sorted(set(levels), reverse=True):
+        shift = below - k
+        if shift:
+            keys = (keys >> bits >> shift << bits) | ((keys & mask) >> shift)
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        counts[k], below = keys.size, k
+    return [counts[k] for k in levels]
 
 
 def box_counting(points: np.ndarray, grid_sizes: Sequence[float]) -> BoxCountFit:
@@ -581,19 +592,23 @@ def box_counting(points: np.ndarray, grid_sizes: Sequence[float]) -> BoxCountFit
     simplex bounding box ([0,1]^2 always, so grids do not depend on the
     cloud).
 
-    Points on box boundaries go to the lower-index box.  Requires at
-    least 4 sizes spanning 1.5 decades, each of the form 2**-k (else
-    ValueError); a cloud spanning fewer than 2 boxes at the coarsest size
-    raises DegenerateCloud (a single point is the dimension-0 edge case
-    and is allowed)."""
+    Points on box boundaries go to the lower-index box.  Requires an
+    (N, 2) cloud of finite points and at least 4 sizes spanning 1.5
+    decades, each of the form 2**-k (else ValueError); a cloud spanning
+    fewer than 2 boxes at the coarsest size raises DegenerateCloud (a
+    single point is the dimension-0 edge case and is allowed)."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must be shaped (N, 2), got shape {pts.shape}")
     sizes = sorted(float(s) for s in grid_sizes)
     if len(sizes) < 4:
         raise ValueError("need at least 4 grid sizes")
     if math.log10(sizes[-1] / sizes[0]) < 1.5:
         raise ValueError("grid sizes must span at least 1.5 decades")
     counts = _box_counts(pts, [_dyadic_level(s) for s in sizes])
-    if len(pts) and (pts == pts[0]).all():
+    # all points equal gives one box at the finest grid, so only then is
+    # the O(N) scan needed
+    if counts[0] == 1 and (pts == pts[0]).all():
         return BoxCountFit(dimension=0.0, residual=0.0, sizes=sizes, counts=counts)
     if counts[-1] < 2:
         raise DegenerateCloud("cloud spans fewer than 2 boxes at the coarsest size")
@@ -682,7 +697,7 @@ def dimension_report(
     cloud = timed("chaos_game", chaos_game, points, seed=seed, workers=workers)
     done("chaos_game")
     box = timed("box_counting", box_counting, cloud, _BOX_GRID)
-    done("box_counting")
+    done("box_counting", box_counts=box.counts)
     bound = ad_bound(delta.exponent, alpha.exponent)
     return DimensionReport(
         delta_hat=delta.exponent,

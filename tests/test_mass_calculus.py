@@ -3,6 +3,8 @@ Fraction reference forms of ``measures`` and against brute-force
 references written here."""
 
 import math
+import re
+import warnings
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from rauzygasket import dimension
 from rauzygasket.dimension import (
+    _BOX_GRID,
     _box_counts,
     _descend,
     _exact_sum,
@@ -29,7 +32,7 @@ from rauzygasket.dimension import (
 )
 from rauzygasket.graph import START, apply_kind, path_from_blocks
 from rauzygasket.induction import CYC, STAY, SWAP, format_scalar
-from rauzygasket.markov import _CLOUD_BLOCK
+from rauzygasket.markov import _CLOUD_BLOCK, chaos_game
 from rauzygasket.measures import (
     Q_ONES,
     block_child,
@@ -399,6 +402,59 @@ def test_box_counts_point_too_far_outside_in_last_block(n, bad):
         _box_counts(pts, [12])
 
 
+_PAST_ONE = [[-0.5, 1.5], [1.5, 1.5], [1 + 2**-52, 1 + 2**-52], [0.0, 3.0]]
+
+
+@pytest.mark.parametrize("past_one", [False, True])
+@pytest.mark.parametrize("levels", [[0, 3, 7, 12], [16], [17], [20, 31]])
+def test_box_counts_key_width(levels, past_one):
+    """Grid-edge points, whose indices differ only in their high bits, and
+    points above 1 in the second axis: a key that gives i or j too few
+    bits merges their boxes.  A unit-square cloud has 16-bit indices at
+    level 16 and 17-bit ones at 17."""
+    rng = np.random.default_rng(3)
+    parts = [rng.random((5000, 2))]
+    parts += [rng.integers(0, 2**k + 1, size=(100, 2)) / 2**k for k in range(0, 13)]
+    pts = np.concatenate(parts + [_PAST_ONE] * past_one)
+    if past_one and 3.0 * 2**max(levels) > 2**32:
+        with pytest.raises(ValueError, match="too far outside"):
+            _box_counts(pts, levels)
+        pts = pts[:-1]
+    assert _box_counts(pts, levels) == _unique_counts(pts, [2.0**-k for k in levels])
+
+
+def test_box_counts_clamp_far_below_zero():
+    # a coordinate below 0 goes to box 0 however far below it lies, also
+    # where x 2**k overflows to -inf
+    pts = np.array([[-2.0**40, 0.5], [-1e300, -1e300], [0.25, -3.0]])
+    with np.errstate(over="ignore"):
+        assert _box_counts(pts, [31, 12, 0]) == [3, 3, 1]
+        assert _box_counts(pts[1:2], [31]) == [1]
+
+
+@pytest.mark.parametrize("n", [1, 3 * _CLOUD_BLOCK + 1])
+def test_box_equal_points_dimension_zero(n):
+    fit = box_counting(np.full((n, 2), 0.5), [2.0**-k for k in range(2, 8)])
+    assert fit.dimension == 0.0
+    assert fit.counts == [1] * 6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_box_non_finite_points_rejected(bad):
+    pts = np.random.default_rng(4).random((100, 2))
+    pts[37, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="point 37 has non-finite coordinates"):
+            box_counting(pts, [2.0**-k for k in range(2, 8)])
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 3), (10, 1), (2, 5, 2)])
+def test_box_cloud_not_n_by_2_rejected(shape):
+    with pytest.raises(ValueError, match=r"shaped \(N, 2\), got shape " + re.escape(str(shape))):
+        box_counting(np.random.default_rng(5).random(shape), [2.0**-k for k in range(2, 8)])
+
+
 @pytest.mark.parametrize("sizes", [
     [0.3, 0.1, 0.03, 0.003],
     [3.0**-k for k in range(1, 6)],
@@ -421,6 +477,7 @@ def test_report_counters_and_timings():
     assert counters["cylinders_enumerated"] == 128
     remainder = depth_totals(1, n_cap=64, measure_floor=F(1, 10**12))["remainder"]
     assert F(counters["alpha1_remainder"]) == remainder
+    assert counters["box_counts"] == box_counting(chaos_game(20000, seed=2), _BOX_GRID).counts
     assert set(obj["timings"]) == {"delta_s", "alpha1_s", "chaos_game_s", "box_counting_s"}
     assert all(t >= 0 for t in obj["timings"].values())
 

@@ -31,8 +31,8 @@ from .markov import (  # noqa: F401
     MarkovCell,
     apply_T,
     cell_of,
-    cell_vertices,
     chaos_game,
+    cylinder_vertices,
     inverse_branch,
     jacobian,
 )

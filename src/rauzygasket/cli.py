@@ -45,6 +45,7 @@ from .markov import (
 from .measures import NAMED_LOOPS, roof_tail
 from .dimension import (
     BracketTooWide,
+    DegenerateCloud,
     dimension_report,
     enumerate_cylinders,
     survivor_mass,
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
     except InductionError as exc:
         log.error("%s", exc)
         return EXIT_BAD_INPUT
-    except BracketTooWide as exc:
+    except (BracketTooWide, DegenerateCloud) as exc:
         log.error("%s", exc)
         return EXIT_BUDGET
     except (ValueError, KeyError) as exc:

@@ -568,12 +568,14 @@ def _box_counts(pts: np.ndarray, levels: Sequence[int]) -> list[int]:
     bits = (math.ceil(max(top, 1.0)) - 1).bit_length()
     dtype = np.uint32 if 2 * bits <= 32 else np.uint64
     keys = np.empty(len(pts), dtype=dtype)
-    for lo in range(0, len(pts), _CLOUD_BLOCK):
-        idx = np.ceil(pts[lo:lo + _CLOUD_BLOCK] * scale)
-        np.maximum(idx, 1.0, out=idx)
-        idx -= 1.0
-        ij = idx.astype(dtype)
-        keys[lo:lo + _CLOUD_BLOCK] = (ij[:, 0] << bits) | ij[:, 1]
+    # a point far below 0 may overflow to -inf, which the clamp sends to box 0
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(pts), _CLOUD_BLOCK):
+            idx = np.ceil(pts[lo:lo + _CLOUD_BLOCK] * scale)
+            np.maximum(idx, 1.0, out=idx)
+            idx -= 1.0
+            ij = idx.astype(dtype)
+            keys[lo:lo + _CLOUD_BLOCK] = (ij[:, 0] << bits) | ij[:, 1]
     mask = (1 << bits) - 1
     counts = {}
     below = finest

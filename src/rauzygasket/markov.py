@@ -19,7 +19,7 @@ the induction on lengths).  One scalar step, ``_step``, runs the same
 code on both: the core, the boundary test, the hole test, the kind and
 the image.  ``cell_of``, ``apply_T`` and ``jacobian`` are views of it,
 and ``measures`` walks the roof and first returns through it; only the
-boundary test and the roof's summation tell the two arithmetics apart.
+boundary test tells the two arithmetics apart.
 ``accelerated_step_batch`` is the same step on float arrays.
 """
 
@@ -33,7 +33,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .induction import CYC, SWAP, Hole, accelerated_matrix
+from .induction import CYC, SWAP, Hole, _mat_vec, accelerated_matrix
 
 BOUNDARY_TOL = 1e-14
 POINTS_MAGIC = b"RGPTS001"
@@ -175,23 +175,27 @@ def jacobian(p: ChartPoint) -> float:
     return float(1 / d**3)
 
 
-def cell_vertices(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Exact chart vertices of the closure of the swap-ending cell with
-    counter n."""
-    if n < 1:
-        raise ValueError("counter must be >= 1")
-    return (
-        (Fraction(n + 1, n + 2), Fraction(1, n + 2)),
-        (Fraction(n, n + 1), Fraction(1, n + 1)),
-        (Fraction(2 * n + 1, 2 * n + 3), Fraction(1, 2 * n + 3)),
-    )
+_CHART_RAYS = ((1, 0, 0), (1, 1, 0), (1, 1, 1))  # the chart vertices as length rays
+
+
+def cylinder_vertices(blocks) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Exact chart vertices of the closure of the cylinder of the
+    accelerated blocks (n, kind): the chart vertices (1, 0), (1/2, 1/2)
+    and (1/3, 1/3), as the integer rays (1, 0, 0), (1, 1, 0) and
+    (1, 1, 1), pulled back through each block's ``accelerated_matrix``,
+    last block first, and renormalized once.  No blocks give the chart."""
+    rays = _CHART_RAYS
+    for n, kind in reversed(blocks):
+        m = accelerated_matrix(n, kind)
+        rays = [_mat_vec(m, v) for v in rays]
+    return tuple((Fraction(x, x + y + z), Fraction(y, x + y + z)) for x, y, z in rays)
 
 
 def branch_preimage(n: int, kind: str, a, b, c):
     """Chart coordinates of the preimage of (a, b, c) under the branch
     (n, kind): the lengths accelerated_matrix(n, kind) . (a, b, c),
     renormalized.  Works on exact scalars, floats and numpy arrays."""
-    v = [m0 * a + m1 * b + m2 * c for m0, m1, m2 in accelerated_matrix(n, kind)]
+    v = _mat_vec(accelerated_matrix(n, kind), (a, b, c))
     t = v[0] + v[1] + v[2]
     return v[0] / t, v[1] / t
 

@@ -21,6 +21,7 @@ be confused:
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -31,15 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import (
-    START,
-    RauzyPath,
-    cocycle_of,
-    is_complete,
-    is_positive,
-    path_from_blocks,
-)
-from .induction import CYC, STAY, SWAP, Hole, _mat_vec, apply_kind
+from .graph import START, RauzyPath, is_complete, is_positive, path_from_blocks
+from .induction import CYC, STAY, SWAP, Hole, apply_kind
 from .markov import (
     KIND_CODE,
     ChartPoint,
@@ -47,6 +41,7 @@ from .markov import (
     _step,
     _step_core,
     accelerated_step_batch,
+    cylinder_vertices,
     sample_sorted_simplex,
 )
 
@@ -333,18 +328,22 @@ def mc_balance(
 
 # --- roof function -----------------------------------------------------------
 
-def _block_totals(point: ChartPoint, blocks: Sequence[tuple[int, str]]):
-    """Yield the per-block totals D = n a - (n-1) along the accelerated
-    blocks from the point, exact or float.
+def _orbit(point: ChartPoint, blocks: Sequence[tuple[int, str]]):
+    """Yield (cell, D, image) for each accelerated step of the point's
+    orbit, exact or float, without end; the first steps must be the given
+    blocks (n, kind).
 
-    Raises OutsideCylinder if the point does not follow the blocks, and
-    TieOnBoundary where ``cell_of`` does.
+    Raises OutsideCylinder on a hole or on a step that is not its block,
+    and TieOnBoundary where ``cell_of`` does.
     """
-    for n, kind in blocks:
-        cell, d, point = _step(point)
-        if isinstance(cell, Hole) or (cell.n, cell.kind) != (n, kind):
-            raise OutsideCylinder(f"expected block {(n, kind)}, point has {cell}")
-        yield d
+    for m in itertools.count():
+        cell, d, image = _step(point)
+        if isinstance(cell, Hole):
+            raise OutsideCylinder(f"orbit fell into a hole after {m} steps")
+        if m < len(blocks) and (cell.n, cell.kind) != blocks[m]:
+            raise OutsideCylinder(f"step {m + 1} is {cell}, expected block {blocks[m]}")
+        yield cell, d, image
+        point = image
 
 
 def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction:
@@ -354,7 +353,8 @@ def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction
     Raises OutsideCylinder if the point does not follow the blocks.
     """
     point.exact()  # ValueError for a float point
-    return math.prod(_block_totals(point, blocks), start=Fraction(1))
+    steps = itertools.islice(_orbit(point, blocks), len(blocks))
+    return math.prod((d for _, d, _ in steps), start=Fraction(1))
 
 
 def _as_blocks(path) -> list[tuple[int, str]]:
@@ -365,13 +365,12 @@ def _as_blocks(path) -> list[tuple[int, str]]:
 
 def roof(point: ChartPoint, path) -> float:
     """Return-time value -log || (B*)^{-1} lambda ||_1 of the path at the
-    point; per accelerated block this is -log(n a - (n-1))."""
+    point: the sum over its accelerated blocks of -log(n a - (n-1)), in
+    floats, in the order ``first_return`` sums it, for an exact point
+    too."""
     blocks = _as_blocks(path)
-    if not blocks:
-        return 0.0
-    if isinstance(point.a, float):
-        return -sum(map(math.log, _block_totals(point, blocks)))
-    return -math.log(roof_scale(point, blocks))
+    steps = itertools.islice(_orbit(point, blocks), len(blocks))
+    return sum((-math.log(d) for _, d, _ in steps), 0.0)
 
 
 # --- sections and first returns ------------------------------------------------
@@ -402,22 +401,9 @@ def validate_loop(loop: RauzyPath) -> None:
 
 
 def section_triangle(loop: RauzyPath) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Exact chart vertices of the loop's cylinder: the forward cocycle
-    applied to the extreme rays of the end state's sorted cone."""
-    m = cocycle_of(loop)
-    end = loop.end
-    rays = []
-    for k in (1, 2, 3):
-        ray = [Fraction(0)] * 3
-        for letter in end[:k]:
-            ray[letter - 1] = Fraction(1)
-        rays.append(tuple(ray))
-    verts = []
-    for ray in rays:
-        v = _mat_vec(m, ray)
-        t = v[0] + v[1] + v[2]
-        verts.append((v[0] / t, v[1] / t))
-    return tuple(verts)
+    """Exact chart vertices of the loop's cylinder: the chart pulled back
+    through the loop's blocks by ``cylinder_vertices``."""
+    return cylinder_vertices(_as_blocks(loop))
 
 
 def sample_section(loop: RauzyPath, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -481,34 +467,24 @@ def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
     image within ``cap`` steps is in the triangle.
     """
     validate_loop(loop)
-    tokens = _as_blocks(loop)
-    L = len(tokens)
+    blocks = _as_blocks(loop)
     sides = _section_sides(loop)
     consumed: list[tuple[int, str]] = []
     found = None
-    cur = point
     cum = 0.0
-    for m in range(1, max(cap, L) + 1):
-        cell, d, image = _step(cur)
-        if isinstance(cell, Hole):
-            raise OutsideCylinder(f"orbit fell into a hole after {m - 1} steps")
-        sym = (cell.n, cell.kind)
-        if m <= L and sym != tokens[m - 1]:
-            raise OutsideCylinder(
-                f"point is not in the loop cylinder: step {m} is {sym}, "
-                f"expected {tokens[m - 1]}"
-            )
+    steps = itertools.islice(_orbit(point, blocks), max(cap, len(blocks)))
+    for m, (cell, d, image) in enumerate(steps, start=1):
         cum -= math.log(d)
-        consumed.append(sym)
-        cur = image.validate()
-        if found is None and m <= cap and _in_section(sides, cur.a, cur.b):
+        consumed.append((cell.n, cell.kind))
+        image.validate()  # ValueError if float rounding left the chart
+        if found is None and m <= cap and _in_section(sides, image.a, image.b):
             found = ReturnRecord(
                 start=point,
                 path=path_from_blocks(loop.start, consumed),
-                return_point=cur,
+                return_point=image,
                 roof_value=cum,
             )
-        if found is not None and m >= L:
+        if found is not None and m >= len(blocks):
             return found
     return NoReturn(depth=cap)
 

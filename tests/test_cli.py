@@ -447,6 +447,17 @@ def test_dimension_bracket_too_wide_exit_code(capsys):
     assert code == 3
 
 
+def test_dimension_degenerate_cloud_exit_code():
+    # two chaos-game points in one box of the coarsest grid: one ERROR
+    # line and the budget exit code, not a traceback
+    proc = run_cli_process("dimension", "--points", "2", "--seed", "139", "--depth", "3",
+                           "--acc-depth", "1", "--ncap", "8")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "ERROR cloud spans fewer than 2 boxes at the coarsest size"]
+
+
 def test_distortion_command(capsys):
     code, out = run_cli(capsys, "distortion", "--samples", "4000", "--seed", "3")
     assert code == 0

@@ -25,8 +25,8 @@ from rauzygasket.markov import (
     accelerated_step_batch,
     apply_T,
     cell_of,
-    cell_vertices,
     chaos_game,
+    cylinder_vertices,
     inverse_branch,
     jacobian,
     rasterize,
@@ -130,14 +130,17 @@ def test_jacobian_lower_bound_sampled():
 # --- cell vertices -------------------------------------------------------------------
 
 def test_cell_vertices_values():
-    assert cell_vertices(1) == ((F(2, 3), F(1, 3)), (F(1, 2), F(1, 2)), (F(3, 5), F(1, 5)))
-    assert cell_vertices(2) == ((F(3, 4), F(1, 4)), (F(2, 3), F(1, 3)), (F(5, 7), F(1, 7)))
+    # the swap cell of counter n is the one-block cylinder (n, swap)
+    assert cylinder_vertices([(1, "swap")]) == (
+        (F(1, 2), F(1, 2)), (F(2, 3), F(1, 3)), (F(3, 5), F(1, 5)))
+    assert cylinder_vertices([(2, "swap")]) == (
+        (F(2, 3), F(1, 3)), (F(3, 4), F(1, 4)), (F(5, 7), F(1, 7)))
 
 
 def test_cell_vertex_interiors_classify_to_n():
     rng = random.Random(3)
     for n in range(1, 11):
-        verts = cell_vertices(n)
+        verts = cylinder_vertices([(n, "swap")])
         for _ in range(20):
             w = [F(rng.randrange(1, 50)) for _ in range(3)]
             tot = sum(w)
@@ -152,7 +155,7 @@ def test_branch_maps_cell_onto_full_simplex():
     # a -> 1 corner region and the balanced edge of the chart
     rng = random.Random(8)
     for n in (1, 3):
-        verts = cell_vertices(n)
+        verts = cylinder_vertices([(n, "swap")])
         images = []
         for _ in range(400):
             w = [F(rng.randrange(1, 60)) for _ in range(3)]

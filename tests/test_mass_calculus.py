@@ -425,11 +425,15 @@ def test_box_counts_key_width(levels, past_one):
 
 def test_box_counts_clamp_far_below_zero():
     # a coordinate below 0 goes to box 0 however far below it lies, also
-    # where x 2**k overflows to -inf
+    # where x 2**k overflows to -inf, and without a warning
     pts = np.array([[-2.0**40, 0.5], [-1e300, -1e300], [0.25, -3.0]])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert _box_counts(pts, [31, 12, 0]) == [3, 3, 1]
         assert _box_counts(pts[1:2], [31]) == [1]
+        fit = box_counting(np.array([[-1e300, 0.5], [0.5, 0.25]]),
+                           [2.0**-k for k in range(25, 32)])
+        assert fit.counts == [2] * 7
 
 
 @pytest.mark.parametrize("n", [1, 3 * _CLOUD_BLOCK + 1])

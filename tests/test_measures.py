@@ -24,6 +24,7 @@ from rauzygasket.markov import (
     apply_T,
     branch_preimage,
     cell_of,
+    cylinder_vertices,
     inverse_branch,
     sample_sorted_simplex,
 )
@@ -264,6 +265,20 @@ def test_survivor_mass_equals_total_triangle_area_depth3():
     ) / area2(CHART)
     lo, hi = survivor_mass(3)
     assert lo == hi == total
+
+
+def test_cylinder_vertices_match_cocycle_rays_and_cone_measure():
+    # two independent routes to a block word's cylinder: the letter
+    # cocycle on the end state's cone rays, and the cone-measure mass
+    rng = random.Random(29)
+    for _ in range(300):
+        blocks = [(rng.randint(1, 50), rng.choice((SWAP, CYC)))
+                  for _ in range(rng.randint(1, 3))]
+        path = path_from_blocks(START, blocks)
+        verts = cylinder_vertices(blocks)
+        assert verts == tuple(_cylinder_triangle(path))
+        assert area2(verts) / area2(CHART) == cylinder_measure(path)
+    assert cylinder_vertices([]) == tuple(CHART)
 
 
 def test_depth2_cylinder_measure_monte_carlo():
@@ -533,6 +548,22 @@ def test_roof_additive_along_paths():
     assert roof_scale(p, blocks) == roof_scale(p, blocks[:1]) * roof_scale(
         img, blocks[1:]
     )
+
+
+def test_roof_of_a_long_exact_path_is_the_per_block_sum():
+    # the exact product of 1500 block totals is far below the smallest
+    # float, so it has no float log; the roof sums the block logs instead
+    blocks = [(1, CYC)] * 1500
+    p = ChartPoint.from_fractions(F(51, 100), F(8, 25))
+    for n, kind in blocks:
+        p = inverse_branch(MarkovCell(n=n, kind=kind), p)
+    total, cur = 0.0, p
+    for block in blocks:
+        total += roof(cur, [block])
+        cur, _ = apply_T(cur)
+    value = roof(p, blocks)
+    assert math.isfinite(value) and value == total
+    assert value == pytest.approx(914.1, abs=0.05)
 
 
 # --- sections and first returns ---------------------------------------------------------------
@@ -816,3 +847,39 @@ def test_exp_weighted_partial_sums_stabilize():
     full = w.mean()
     partial = w[: int(0.9 * n)].mean()
     assert abs(full - partial) / full < 0.01
+
+
+@pytest.mark.parametrize("cap", [2, 40])
+@pytest.mark.parametrize("loop", [loop_ccc(), loop_cccss()], ids=["ccc", "cccss"])
+def test_roof_is_first_return_roof_value(loop, cap):
+    # the roof of a record's path is its roof value, bit for bit, on float
+    # and exact section points; half of each are pulled back through the
+    # loop twice, so they return within one loop
+    blocks = _as_blocks(loop)
+    rng = np.random.default_rng(23)
+    a, b = sample_section(loop, rng, 100)
+    x, y = sample_sorted_simplex(rng, 100)
+    for n, kind in reversed(blocks * 2):
+        x, y = branch_preimage(n, kind, x, y, 1.0 - x - y)
+    points = [ChartPoint(u, v) for u, v in zip(np.concatenate([a, x]).tolist(),
+                                                np.concatenate([b, y]).tolist())]
+    exact = random.Random(23)
+    verts = section_triangle(loop)
+    for z in _random_exact_points(exact, 100, ((F(1, 3), F(1)), (F(0), F(1, 2)))):
+        w = [exact.randrange(1, 1000) for _ in range(3)]
+        points.append(ChartPoint(sum(wi * v[0] for wi, v in zip(w, verts)) / sum(w),
+                                 sum(wi * v[1] for wi, v in zip(w, verts)) / sum(w)))
+        for n, kind in reversed(blocks * 2):
+            z = inverse_branch(MarkovCell(n=n, kind=kind), z)
+        points.append(z)
+    records = {float: 0, F: 0}
+    for p in points:
+        try:
+            rec = first_return(p, loop, cap=cap)
+        except (OutsideCylinder, TieOnBoundary):
+            continue
+        if isinstance(rec, ReturnRecord):
+            assert roof(p, rec.path) == rec.roof_value
+            records[type(p.a)] += 1
+    if cap >= len(blocks) or loop == loop_ccc():  # cccss cannot return in 2 steps
+        assert min(records.values()) >= 20

@@ -12,7 +12,10 @@ Both branches have Jacobian determinant 1 / D^3.  D and (n+1) a - n are
 computed as a - (n - 1) s and a - n s with s = 1 - a, which is exact in
 floats for a >= 1/2; the form n a - (n - 1) would cancel about log10(n)
 digits.  That arithmetic, the counter n included, is written once, in
-``_step_core``, for one point and for float arrays alike.  A chart point
+``_step_core``, for one point and for float arrays alike.  On float
+arrays n is a float64 array, exact since a chart point has n <= 2^53,
+and the remainders that the counter's nudges compare are the step's rem
+and D, computed once.  A chart point
 is in one arithmetic: float coordinates (Monte Carlo, rendering) or exact
 ones such as Fraction (cell boundaries, and differential tests against
 the induction on lengths).  One scalar step, ``_step``, runs the same
@@ -104,20 +107,47 @@ class MarkovCell:
 
 
 def _counter(a, b, s):
-    """First j >= 1 with a - j s < b: an int for one point, exact or float,
-    and an int64 array for float arrays.  Only the first guess differs:
-    ``math.floor`` for a scalar (exact for a Fraction, with no int64 limit)
-    and a float floor clamped to 1 for arrays.  A float guess can be off by
-    one near a boundary, which one exact nudge each way corrects."""
-    array = isinstance(a, np.ndarray)
-    if array:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n = np.maximum(np.floor((a - b) / s).astype(np.int64) + 1, 1)
-    else:
+    """(n, a - n s, a - (n - 1) s) with n the first j >= 1 with a - j s < b:
+    n is an int for one point, exact or float (a 0-d array included), and
+    a float64 array for float arrays.  A float n is exact, since a chart point has s >= 2^-53,
+    so n <= 2^53; then n s and (n - 1) s are the same floats as with an
+    integer n.  Only the first guess differs: ``math.floor`` for a scalar
+    (exact for a Fraction, with no int64 limit) and a float floor clamped
+    to 1 for arrays.  A float guess can be off by one near a boundary,
+    which one exact nudge each way corrects.  On arrays the two remainders
+    of the guess are kept: a nudge up makes the old a - n s the new
+    a - (n - 1) s, a nudge down makes the old a - (n - 1) s the new
+    a - n s, and only the other one is recomputed, on the moved points."""
+    if not (isinstance(a, np.ndarray) and a.ndim):
         n = math.floor((a - b) / s) + 1
-    n += a - n * s >= b
-    n -= (n > 1) & (a - (n - 1) * s < b)
-    return n if array else int(n)
+        n += a - n * s >= b
+        n = int(n - ((n > 1) & (a - (n - 1) * s < b)))
+        return n, a - n * s, a - (n - 1) * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.subtract(a, b)
+        n /= s
+        np.floor(n, out=n)
+        n += 1
+        np.maximum(n, 1, out=n)
+        d = n - 1
+        d *= s
+        np.subtract(a, d, out=d)
+        rem = n * s
+        np.subtract(a, rem, out=rem)
+        up = rem >= b
+        if up.any():
+            i = np.flatnonzero(up)
+            n[i] += 1
+            d[i] = rem[i]
+            rem[i] = a[i] - n[i] * s[i]
+        down = d < b
+        if down.any():
+            i = np.flatnonzero(down)
+            i = i[n[i] > 1]
+            n[i] -= 1
+            rem[i] = d[i]
+            d[i] = a[i] - (n[i] - 1) * s[i]
+    return n, rem, d
 
 
 def _step_core(a, b, n=None):
@@ -126,8 +156,12 @@ def _step_core(a, b, n=None):
     D = a - (n - 1) s.  The counter n is counted unless it is given."""
     s = 1 - a
     if n is None:
-        n = _counter(a, b, s)
-    return s - b, n, a - n * s, a - (n - 1) * s
+        n, rem, d = _counter(a, b, s)
+    else:
+        rem, d = a - n * s, a - (n - 1) * s
+    c = s  # s - b, in place on arrays, as s is not needed any more
+    c -= b
+    return c, n, rem, d
 
 
 def _step(p: ChartPoint, tol: float = BOUNDARY_TOL):
@@ -209,25 +243,24 @@ def inverse_branch(cell: MarkovCell, p: ChartPoint) -> ChartPoint:
 
 # --- vectorized float dynamics (shared by the Monte Carlo modules) ----------
 
-KIND_CODE = {SWAP: 0, CYC: 1}  # the kind codes of accelerated_step_batch
-
-
 def accelerated_step_batch(a, b):
     """Vectorized accelerated step on chart arrays.
 
-    Returns (a', b', n, kind, D, alive) where kind is KIND_CODE[ending]: 0
-    for swap, 1 for cyc; entries with alive == False hit a hole and carry
-    junk outputs.
+    Returns (a', b', n, cyc, D, alive): the float64 arrays a', b', D and
+    the counter n (exact, see ``_counter``), and the bool arrays cyc, True
+    for the cyc ending and False for swap, and alive, False where the point
+    hit a hole; those entries carry junk outputs.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c, n, rem, d = _step_core(a, b)
     alive = rem > 0
-    kind = (rem <= c).astype(np.int64)
+    cyc = rem <= c
+    b2 = np.maximum(rem, c)  # the swap ending keeps rem, the cyc ending c
     with np.errstate(divide="ignore", invalid="ignore"):
+        b2 /= d
         a2 = b / d
-        b2 = np.maximum(rem, c) / d  # the swap ending keeps rem, the cyc ending c
-    return a2, b2, n, kind, d, alive
+    return a2, b2, n, cyc, d, alive
 
 
 def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +272,18 @@ def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     networks: the largest coordinate is max(x0, x1, x2) and the middle one
     max(min(x0, x1), min(max(x0, x1), x2)).  They only select among floats
     already computed, so the output is the same bits as sorting the rows,
-    ties included.
+    ties included.  Each network stage writes over a row it no longer
+    needs.
     """
     u = rng.random((count, 2))
     lo = np.minimum(u[:, 0], u[:, 1])
     hi = np.maximum(u[:, 0], u[:, 1])
     x1 = hi - lo
-    x2 = 1.0 - hi
+    x2 = np.subtract(1.0, hi, out=hi)
     big = np.maximum(lo, x1)
+    small = np.minimum(lo, x1, out=lo)
     a = np.maximum(big, x2)
-    b = np.maximum(np.minimum(lo, x1), np.minimum(big, x2))
+    b = np.maximum(small, np.minimum(big, x2, out=big), out=small)
     return a, b
 
 

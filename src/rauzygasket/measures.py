@@ -35,7 +35,6 @@ import numpy as np
 from .graph import START, RauzyPath, is_complete, is_positive, path_from_blocks
 from .induction import CYC, STAY, SWAP, Hole, apply_kind
 from .markov import (
-    KIND_CODE,
     ChartPoint,
     _run_blocks,
     _step,
@@ -225,9 +224,14 @@ def mc_kerckhoff(
     with k the fewest wins such that 1.0 + k > t, the event is wins >= k,
     which holds exactly when a - k s >= b, or a - k s > 0 and
     a - (k - 1) s >= b.  Those are the float expressions that the counter
-    compares, so two comparisons per sample give the count without a
-    counter, a remainder or a ratio.  A NaN t raises ValueError; t = +inf
-    gives 0.0 and t = -inf gives 1.0.
+    compares.  The first case lies in the second, so the event is
+    (a - k s > 0) & (a - (k - 1) s >= b): rounding is monotone, so
+    fl((k - 1) s) <= fl(k s) and a - (k - 1) s >= a - k s >= b, and every
+    sample has b >= 0, so a - k s >= b is > 0 unless b = 0.  The only
+    sample with b = 0 is the draw u = (0, 0), the point (1, 0), where
+    s = 0 and a - k s = 1 > 0, so both forms count it.  Two comparisons
+    per sample give the count without a counter, a remainder or a ratio.
+    A NaN t raises ValueError; t = +inf gives 0.0 and t = -inf gives 1.0.
     """
     blocks = _blocks(samples)
     # below 2**53 every 1.0 + k is exact; above it no sample wins that often
@@ -239,8 +243,13 @@ def mc_kerckhoff(
         rng = np.random.default_rng((seed, _TAG_KERCKHOFF, i))
         a, b = sample_sorted_simplex(rng, size)
         s = 1.0 - a
-        rem = a - k * s
-        return int(np.count_nonzero((rem >= b) | ((rem > 0) & (a - (k - 1) * s >= b))))
+        rem = s * k
+        np.subtract(a, rem, out=rem)
+        s *= k - 1
+        np.subtract(a, s, out=s)  # a - (k - 1) s
+        hit = rem > 0
+        hit &= s >= b
+        return int(np.count_nonzero(hit))
 
     hits = _run_blocks(block, blocks, workers)
     return sum(hits) / samples
@@ -268,11 +277,19 @@ def mc_balance(
     raises ValueError naming it; C = +inf is the limit, completion alone.
 
     A block is walked as ``_first_returns`` walks its points, with the
-    weights and letters as three rows by rank, leader first, and one
-    compaction per step, on ``alive & ~complete``.  After a step the old
-    rank 1 leads, and the cyc ending (x0, x1, x2) -> (x1, x2, x0) differs
-    from the swap ending (x1, x0, x2) only in the last two ranks, so two
-    ``np.where`` per row set move the ranks.
+    weights as three rows by rank, leader first, and one compaction per
+    step, on ``alive & ~complete``.  After a step the old rank 1 leads,
+    and the cyc ending (x0, x1, x2) -> (x1, x2, x0) differs from the swap
+    ending (x1, x0, x2) only in the last two ranks, so the weights move as
+    in a swap and then exchange x0 and x2 where cyc, by a xor of their
+    bits (a select with ``np.where`` on a random mask costs several times
+    more).  The letters are one int8 row: the rank r of the
+    letter that has not won.  The leaders of the first two steps differ,
+    so after step 2 exactly one letter has not won; before it, r is the
+    rank of the letter that will not win at step 2, which starts at rank
+    2.  A step moves r to 0 if r = 1 and to 2 - cyc otherwise, and a point
+    completes at the step it takes with r = 0.  The weight rows are
+    compressed on the completed points only to take their maximum.
     """
     cs = [float(c) for c in c_grid]
     for c in cs:
@@ -282,29 +299,32 @@ def mc_balance(
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_BALANCE, i))
         a, b = sample_sorted_simplex(rng, size)
-        weights = tuple(np.ones((3, size)))  # by rank
-        letters = tuple(np.arange(3, dtype=np.uint8)[:, None].repeat(size, axis=1))
-        won = np.zeros(size, dtype=np.uint8)  # bit j: letter j has won
+        w0, w1, w2 = np.ones((3, size))  # the weights by rank
+        rank = np.full(size, 2, dtype=np.int8)  # the rank of the letter that has not won
         done_max = []
         for _ in range(_BALANCE_MAX_STEPS):
             if not a.size:
                 break
-            a, b, n, kind, _, alive = accelerated_step_batch(a, b)
-            won |= 1 << letters[0]
-            gain = n * weights[0]
-            for w in weights[1:]:
-                w += gain
-            cyc = kind == KIND_CODE[CYC]
-            weights, letters = (
-                (x[1], np.where(cyc, x[2], x[0]), np.where(cyc, x[0], x[2]))
-                for x in (weights, letters)
-            )
-            complete = alive & (won == 0b111)
-            done_max.append(np.maximum(np.maximum(weights[0], weights[1]),
-                                       weights[2]).compress(complete))
-            keep = alive & ~complete
-            a, b, won = (v.compress(keep) for v in (a, b, won))
-            weights, letters = (tuple(v.compress(keep) for v in x) for x in (weights, letters))
+            a, b, n, cyc, _, alive = accelerated_step_batch(a, b)
+            complete = rank == 0
+            complete &= alive
+            n *= w0  # the gain of both losers
+            w1 += n
+            w2 += n
+            # new ranks: (w1, w0, w2) after a swap ending, (w1, w2, w0) after
+            # a cyc one; exchange the bits of w0 and w2 where cyc
+            x, y = w0.view(np.int64), w2.view(np.int64)
+            diff = np.bitwise_xor(x, y)
+            diff &= np.negative(cyc, dtype=np.int64)
+            x ^= diff
+            y ^= diff
+            w0, w1 = w1, w0
+            done = [w.compress(complete) for w in (w0, w1, w2)]
+            done_max.append(np.maximum(np.maximum(done[0], done[1]), done[2]))
+            # 0 if r = 1, else 2 - cyc
+            rank = np.multiply(rank != 1, np.subtract(2, cyc, dtype=np.int8), dtype=np.int8)
+            keep = np.logical_xor(alive, complete)  # alive & ~complete
+            a, b, rank, w0, w1, w2 = (v.compress(keep) for v in (a, b, rank, w0, w1, w2))
         mx = np.concatenate(done_max)
         return mx, size - mx.size
 
@@ -412,11 +432,18 @@ def sample_section(loop: RauzyPath, rng, count: int) -> tuple[np.ndarray, np.nda
     (x1, y1), (x2, y2), (x3, y3) = [(float(p), float(q)) for p, q in section_triangle(loop)]
     u = rng.random(count)
     v = rng.random(count)
-    flip = u + v > 1
-    np.subtract(1.0, u, out=u, where=flip)
-    np.subtract(1.0, v, out=v, where=flip)
-    a = x1 + u * (x2 - x1) + v * (x3 - x1)
-    b = y1 + u * (y2 - y1) + v * (y3 - y1)
+    # fold (u, v) with u + v > 1 onto (1 - u, 1 - v): |flip - u| is
+    # 1.0 - u where flip is 1.0 and u where it is 0.0, the same floats
+    flip = (u + v > 1).astype(float)
+    np.abs(np.subtract(flip, u, out=u), out=u)
+    np.abs(np.subtract(flip, v, out=v), out=v)
+    # x1 + u (x2 - x1) + v (x3 - x1), in place, and the same for b in u
+    a = np.multiply(u, x2 - x1)
+    a += x1
+    a += np.multiply(v, x3 - x1)
+    b = np.multiply(u, y2 - y1, out=u)
+    b += y1
+    b += np.multiply(v, y3 - y1, out=v)
     return a, b
 
 
@@ -448,9 +475,20 @@ def _section_sides(loop: RauzyPath) -> tuple[tuple[Fraction, Fraction, Fraction]
 
 def _in_section(sides, a, b):
     """Whether (a, b) lies in the open triangle of these sides: exactly for
-    exact coordinates, in the floats of the exact sides for a float point
-    or arrays (elementwise)."""
-    if isinstance(a, (float, np.ndarray)):
+    exact coordinates, in the floats of the exact sides for a float point.
+    For arrays (elementwise) the sides must be floats already, as
+    ``_first_returns`` converts them once, and each sum u a + v b + w is
+    formed in place in two scratch rows, in the same order."""
+    if isinstance(a, np.ndarray):
+        inside = np.ones(a.size, dtype=bool)
+        t, tb = np.empty(a.size), np.empty(a.size)
+        for u, v, w in sides:
+            np.multiply(a, u, out=t)
+            t += np.multiply(b, v, out=tb)
+            t += w
+            inside &= t > 0
+        return inside
+    if isinstance(a, float):
         sides = [tuple(map(float, side)) for side in sides]
     (u0, v0, w0), (u1, v1, w1), (u2, v2, w2) = sides
     return (u0 * a + v0 * b + w0 > 0) & (u1 * a + v1 * b + w1 > 0) & (u2 * a + v2 * b + w2 > 0)
@@ -541,28 +579,33 @@ def _first_returns(a, b, loop: RauzyPath, cap: int):
     Each later step runs ``accelerated_step_batch`` on every point, dead
     ones included, then compacts the arrays once, on ``alive &
     ~returned``.  A dead point still has D >= b > 0, so its -log D is
-    finite junk that the compaction drops.
+    finite junk that the compaction drops.  The section sides are made
+    floats once per call, and the images, D and the roof sums are updated
+    in place.
     """
     tokens = _as_blocks(loop)
-    sides = _section_sides(loop)
+    sides = [tuple(map(float, side)) for side in _section_sides(loop)]
     inside = np.ones(a.size, dtype=bool)
     returned = np.zeros(a.size, dtype=bool)
     early = []  # (index, roof) of the returns at each of the first L steps
-    cum = 0.0
+    cum = np.zeros(a.size)
     # an outside point's junk may be negative or NaN: its D has no log
     with np.errstate(divide="ignore", invalid="ignore"):
         for m, (n, kind) in enumerate(tokens, start=1):
             c, _, rem, d = _step_core(a, b, n)
             cyc = kind == CYC
-            inside &= (rem < b) & (rem > 0) & ((rem <= c) if cyc else (rem > c))
+            inside &= rem < b
+            inside &= rem > 0
+            inside &= (rem <= c) if cyc else (rem > c)
             if n > 1:
                 inside &= d >= b
-            cum = cum - np.log(d)
-            a, b = b / d, (c if cyc else rem) / d
+            kept = c if cyc else rem
+            a, b = b / d, np.divide(kept, d, out=kept)
+            cum -= np.log(d, out=d)
             if m <= cap:
                 ret = _in_section(sides, a, b) & ~returned
                 returned |= ret
-                early.append((np.flatnonzero(ret), cum[ret]))
+                early.append((np.flatnonzero(ret), cum.compress(ret)))
     found_index = [np.empty(0, dtype=np.int64)] + [i[inside[i]] for i, _ in early]
     found_roofs = [np.empty(0)] + [r[inside[i]] for i, r in early]
     running = inside & ~returned
@@ -573,12 +616,13 @@ def _first_returns(a, b, loop: RauzyPath, cap: int):
         if not a.size:
             break
         a, b, _, _, d, alive = accelerated_step_batch(a, b)
-        cum = cum - np.log(d)
-        ret = alive & _in_section(sides, a, b)
-        found_index.append(index[ret])
-        found_roofs.append(cum[ret])
-        keep = alive & ~ret
-        lost += int(np.count_nonzero(~alive))
+        cum -= np.log(d, out=d)
+        ret = _in_section(sides, a, b)
+        ret &= alive
+        found_index.append(index.compress(ret))
+        found_roofs.append(cum.compress(ret))
+        keep = np.logical_xor(alive, ret)  # alive & ~ret
+        lost += alive.size - int(np.count_nonzero(alive))
         a, b, index, cum = (v.compress(keep) for v in (a, b, index, cum))
     lost += a.size  # still running at the cap
     return np.concatenate(found_index), np.concatenate(found_roofs), lost
@@ -631,7 +675,7 @@ def return_roofs(
     lost = 0
     got = 0
     i = 0
-    max_blocks = max(1, (samples * _MAX_DRAW_FACTOR) // _BLOCK + 1)
+    max_blocks = -(-samples * _MAX_DRAW_FACTOR // _BLOCK)
     while got < samples and i < max_blocks:
         t0 = time.perf_counter()
         batch = [(j, _BLOCK) for j in range(i, min(i + round_size, max_blocks))]

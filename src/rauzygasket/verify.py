@@ -17,7 +17,6 @@ from .dimension import depth_totals, survivor_mass
 from .graph import verify_complete_implies_positive
 from .induction import CYC, SWAP, Hole, format_scalar
 from .markov import (
-    KIND_CODE,
     ChartPoint,
     accelerated_step_batch,
     branch_preimage,
@@ -66,8 +65,8 @@ def distortion_experiment(samples: int, seed: int):
         for kind in (SWAP, CYC):
             ya, yb = sample_sorted_simplex(rng, 2 * per)
             pa, pb = branch_preimage(n, kind, ya, yb, 1.0 - ya - yb)
-            a2, b2, n_chk, kind_chk, d, alive = accelerated_step_batch(pa, pb)
-            ok = alive & (n_chk == n) & (kind_chk == KIND_CODE[kind])
+            a2, b2, n_chk, cyc_chk, d, alive = accelerated_step_batch(pa, pb)
+            ok = alive & (n_chk == n) & (cyc_chk == (kind == CYC))
             j = 1.0 / d**3
             j1, j2 = j[0::2], j[1::2]
             x1, y1v = a2[0::2], b2[0::2]

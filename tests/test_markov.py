@@ -400,23 +400,84 @@ def test_counter_matches_loop_reference_and_exact_floor():
     a, b = a[chart], b[chart]
     s = 1.0 - a
     reference = [_counter_reference(x, y, 1.0 - x) for x, y in zip(a.tolist(), b.tolist())]
-    scalar = [_counter(x, y, 1.0 - x) for x, y in zip(a.tolist(), b.tolist())]
+    scalar = [_counter(x, y, 1.0 - x)[0] for x, y in zip(a.tolist(), b.tolist())]
     assert scalar == reference
     # numpy float scalars count as scalars too, with an int counter
-    numpy_scalar = [_counter(x, y, 1.0 - x) for x, y in zip(a[:500], b[:500])]
+    numpy_scalar = [_counter(x, y, 1.0 - x)[0] for x, y in zip(a[:500], b[:500])]
     assert all(type(n) is int for n in scalar + numpy_scalar)
     assert numpy_scalar == reference[:500]
-    assert _counter(a, b, s).tolist() == reference
+    assert _counter(a, b, s)[0].tolist() == reference
     assert max(reference) > 10**11
     # exact points: the same floats as Fractions, a point on the line
     # b = a - 5 s (so n = 6), and counters past int64
     exact = [(F(x), F(y)) for x, y in zip(a[::7].tolist(), b[::7].tolist())]
     exact += [(F(17, 20), F(1, 10))] + [(1 - F(1, 10**k), F(6, 10**(k + 1))) for k in (20, 30)]
     for x, y in exact:
-        n = _counter(x, y, 1 - x)
+        n = _counter(x, y, 1 - x)[0]
         assert n == (x - y) // (1 - x) + 1 == _counter_reference(x, y, 1 - x)
-    assert _counter(F(17, 20), F(1, 10), F(3, 20)) == 6
-    assert _counter(*exact[-1], 1 - exact[-1][0]) > 2**63
+    assert _counter(F(17, 20), F(1, 10), F(3, 20))[0] == 6
+    assert _counter(*exact[-1], 1 - exact[-1][0])[0] > 2**63
+
+
+def _step_batch_reference(a, b):
+    """The accelerated step on float arrays with an int64 counter and no
+    reuse of remainders: the float floor guess, one exact nudge each way,
+    then rem = a - n s and D = a - (n - 1) s computed afresh.  Returns
+    (a', b', n, kind, D, alive) with int64 n and kind (0 swap, 1 cyc)."""
+    s = 1 - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.maximum(np.floor((a - b) / s).astype(np.int64) + 1, 1)
+    n += a - n * s >= b
+    n -= (n > 1) & (a - (n - 1) * s < b)
+    c, rem, d = s - b, a - n * s, a - (n - 1) * s
+    alive = rem > 0
+    kind = (rem <= c).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a2 = b / d
+        b2 = np.maximum(rem, c) / d
+    return a2, b2, n, kind, d, alive
+
+
+def _near_counter_lines(rng, count):
+    """Chart points with b within 8 half-ulps of a line b = a - k s, with
+    s = 1 - a log-uniform in [1e-15, 0.49] and k the whole multiple that
+    puts the line near (s / 2, s), so that (a - b) / s is within rounding
+    of k and the float floor guess often lands one above the counter."""
+    a = 1.0 - np.exp(rng.uniform(np.log(1e-15), np.log(0.49), count))
+    s = 1.0 - a
+    k = np.floor(a / s - 0.5)  # the line with a - k s in [s / 2, 3 s / 2)
+    line = a - k * s
+    b = line + rng.integers(-8, 9, count) * (np.spacing(line) / 2)
+    chart = (b > s - b) & (b < s) & (k >= 0)
+    return a[chart], b[chart]
+
+
+def test_batch_step_matches_int_counter_reference_bit_for_bit():
+    rng = np.random.default_rng(43)
+    a, b = _deep_and_edge_points(rng)
+    bound = np.array(_float_boundary_points(rng, 600)).T
+    near = _near_counter_lines(rng, 3 * 10**5)
+    assert near[0].size >= 10**5
+    # and points with a < b, off the chart, where the down nudge must not
+    # take n below 1
+    off = np.array([[0.3, 0.5], [0.2, 0.7], [0.45, 0.46]]).T
+    a = np.concatenate([a, bound[0], near[0], off[0]])
+    b = np.concatenate([b, bound[1], near[1], off[1]])
+    got = accelerated_step_batch(a, b)
+    want = _step_batch_reference(a, b)
+    alive = want[5]
+    assert np.array_equal(got[5], alive)
+    for x, y in zip(got[:2] + got[4:5], want[:2] + want[4:5]):  # a', b' and D
+        assert x[alive].tobytes() == y[alive].tobytes()
+    assert got[2].dtype == np.float64 and got[3].dtype == bool
+    assert np.array_equal(got[2][alive], want[2][alive])
+    assert np.array_equal(got[3][alive], want[3][alive] == 1)
+    # the float floor guess overshoots, and the down nudge corrects it, on
+    # tens of thousands of the near points
+    s = 1.0 - near[0]
+    with np.errstate(divide="ignore"):
+        guess = np.maximum(np.floor((near[0] - near[1]) / s) + 1, 1)
+    assert np.count_nonzero(guess > _counter(near[0], near[1], s)[0]) > 2 * 10**4
 
 
 def test_chart_matches_interval_induction():

@@ -374,7 +374,7 @@ def _kerckhoff_reference(t, samples, seed):
     for i, size in _blocks(samples):
         a, b = sample_sorted_simplex(np.random.default_rng((seed, _TAG_KERCKHOFF, i)), size)
         s = 1.0 - a
-        n = _counter(a, b, s)
+        n = _counter(a, b, s)[0]
         rem = a - n * s
         wins = np.where(rem > 0, n, n - 1)
         hits += int(np.count_nonzero(1.0 + wins > t))
@@ -408,6 +408,14 @@ def test_balance_monotone_and_witness():
     assert probs == sorted(probs)
     assert probs[0] < 0.05  # C barely above 1: nearly empty event
     assert any(r["probability"] > 1.0 / r["C"] for r in rows)
+
+
+def test_balance_worker_independent():
+    grid = [1.5, 2.0, 5.0, 10.0, 100.0, math.inf]
+    samples = 3 * (1 << 16) + 5  # the last block is partial
+    rows = mc_balance(grid, samples=samples, seed=8, workers=1)
+    assert rows == mc_balance(grid, samples=samples, seed=8, workers=8)
+    assert rows[-1]["completed"] + rows[-1]["unresolved"] == samples
 
 
 def _balance_reference(grid, samples, seed):
@@ -775,6 +783,19 @@ def test_return_roofs_one_sample_draws_one_block():
     r8, d8, l8 = return_roofs(loop_ccc(), 1, seed=21, workers=8)
     assert d1 == 65536 and r1.size >= 1
     assert np.array_equal(r1, r8) and (d1, l1) == (d8, l8)
+
+
+@pytest.mark.parametrize("samples, blocks", [(8192, 25), (8193, 26), (10**5, 306), (3 * 10**5, 916)])
+def test_return_roofs_draw_cap_is_whole_blocks_rounded_up(samples, blocks, monkeypatch):
+    # 8192 * 200 is exactly 25 blocks, so the cap stops there; one sample
+    # more needs a 26th block.  The CLI default (10^5) and the benchmark's
+    # 3 * 10^5 returns keep their caps.
+    def no_returns(a, b, loop, cap):
+        return np.empty(0, dtype=np.int64), np.empty(0), a.size
+
+    monkeypatch.setattr("rauzygasket.measures._first_returns", no_returns)
+    roofs, drawn, lost = return_roofs(loop_ccc(), samples, seed=2, workers=2)
+    assert roofs.size == 0 and drawn == lost == blocks * (1 << 16)
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -28,6 +28,8 @@ boundary test tells the two arithmetics apart.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -264,7 +266,13 @@ def accelerated_step_batch(a, b):
 
 
 def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lebesgue-uniform samples of the sorted chart simplex.
+    """Lebesgue-uniform samples of the sorted chart simplex: ``count``
+    rows of two uniforms, folded by ``sorted_simplex``."""
+    return sorted_simplex(rng.random((count, 2)))
+
+
+def sorted_simplex(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chart points (a, b) of the rows (u0, u1) of ``u``.
 
     Two sorted uniforms lo <= hi give the uniform point
     (lo, hi - lo, 1 - hi) of the full simplex; sorting its three
@@ -275,7 +283,6 @@ def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     ties included.  Each network stage writes over a row it no longer
     needs.
     """
-    u = rng.random((count, 2))
     lo = np.minimum(u[:, 0], u[:, 1])
     hi = np.maximum(u[:, 0], u[:, 1])
     x1 = hi - lo
@@ -290,18 +297,32 @@ def sample_sorted_simplex(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
 # --- blocks on worker threads -----------------------------------------------
 
 def _run_blocks(fn, blocks, workers: int):
-    """Run ``fn(i, size)`` over the (index, size) blocks and return the
-    results in block order, on at most ``workers`` threads and never more
-    threads than blocks; with one, on the calling thread.  A block's result
-    must depend only on its arguments, so the results are independent of
-    worker count."""
+    """Yield ``fn(i, size)`` over the (index, size) blocks, in block order,
+    on at most ``workers`` threads and never more threads than blocks;
+    with one, on the calling thread.  At most ``2 workers`` blocks are
+    started and not yet taken, so that a thread need not wait for the
+    caller to take a result before it starts its next block.  Closing the
+    generator early cancels the blocks not yet running and waits for the
+    others, at most ``workers``.  A block's result must depend only on its
+    arguments, so the results are independent of worker count."""
     workers = min(workers, len(blocks))
     if workers <= 1:
-        return [fn(i, size) for i, size in blocks]
+        for i, size in blocks:
+            yield fn(i, size)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(*args), blocks))
+    todo = iter(blocks)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        ahead = collections.deque(
+            pool.submit(fn, *args) for args in itertools.islice(todo, 2 * workers))
+        while ahead:
+            result = ahead.popleft().result()
+            ahead.extend(pool.submit(fn, *args) for args in itertools.islice(todo, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --- the gasket as an attractor ---------------------------------------------
@@ -497,7 +518,7 @@ def rasterize(points: np.ndarray, width: int, height: int, workers: int = 1) -> 
             with lock:
                 np.add.at(counts, ys, 1)
 
-    _run_blocks(count, [(t, threads) for t in range(threads)], threads)
+    list(_run_blocks(count, [(t, threads) for t in range(threads)], threads))
     counts = counts.reshape(height, width)
     peak = np.log1p(counts.max())  # the brightest pixel, as log1p is monotone
     image = np.empty((height, width), dtype=np.uint8)

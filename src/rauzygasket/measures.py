@@ -21,6 +21,7 @@ be confused:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -38,10 +39,10 @@ from .markov import (
     ChartPoint,
     _run_blocks,
     _step,
-    _step_core,
     accelerated_step_batch,
     cylinder_vertices,
     sample_sorted_simplex,
+    sorted_simplex,
 )
 
 Q_ONES: tuple[Fraction, Fraction, Fraction] = (Fraction(1), Fraction(1), Fraction(1))
@@ -171,7 +172,7 @@ def _check_samples(samples: int) -> None:
 def _blocks(samples: int):
     """(index, size) of the fixed-size blocks of ``samples`` draws;
     ValueError unless samples >= 1.  Block i always uses the stream seeded
-    (seed, tag, i) and ``_run_blocks`` returns in block order, so results
+    (seed, tag, i) and ``_run_blocks`` yields in block order, so results
     are independent of worker count."""
     _check_samples(samples)
     full, rem = divmod(samples, _BLOCK)
@@ -232,6 +233,9 @@ def mc_kerckhoff(
     s = 0 and a - k s = 1 > 0, so both forms count it.  Two comparisons
     per sample give the count without a counter, a remainder or a ratio.
     A NaN t raises ValueError; t = +inf gives 0.0 and t = -inf gives 1.0.
+
+    For k >= 3 most samples cannot hit, and ``_kerckhoff_hits`` finds
+    them from their first uniform alone and skips the chart network.
     """
     blocks = _blocks(samples)
     # below 2**53 every 1.0 + k is exact; above it no sample wins that often
@@ -241,18 +245,43 @@ def mc_kerckhoff(
 
     def block(i: int, size: int) -> int:
         rng = np.random.default_rng((seed, _TAG_KERCKHOFF, i))
-        a, b = sample_sorted_simplex(rng, size)
-        s = 1.0 - a
-        rem = s * k
-        np.subtract(a, rem, out=rem)
-        s *= k - 1
-        np.subtract(a, s, out=s)  # a - (k - 1) s
-        hit = rem > 0
-        hit &= s >= b
-        return int(np.count_nonzero(hit))
+        return _kerckhoff_hits(rng.random((size, 2)), k)
 
-    hits = _run_blocks(block, blocks, workers)
-    return sum(hits) / samples
+    return sum(_run_blocks(block, blocks, workers)) / samples
+
+
+def _kerckhoff_hits(u: np.ndarray, k: int) -> int:
+    """How many of the chart points ``sorted_simplex(u)`` have
+    (a - k s > 0) & (a - (k - 1) s >= b), the event of ``mc_kerckhoff``.
+
+    For k >= 3 let theta = k / (k + 1) - 1e-9, in floats.  A row whose
+    first uniform has |u0 - 1/2| <= theta - 1/2 cannot hit.  theta - 1/2
+    is exact and u0 - 1/2 rounds by at most 2^-54 (not at all for the
+    draws of ``rng.random``, multiples of 2^-53), so u0 lies within 2^-54
+    of [1 - theta, theta].  Then each spacing is at most theta + 2^-54:
+    lo <= u0, hi - lo <= max(u0, 1 - u0) and 1 - hi <= 1 - u0; rounding
+    is monotone, so the float a is too.  As theta is within 2^-53 of
+    k / (k + 1) - 1e-9, k (1 - a) - a >= (k + 1) (1e-9 - 2^-52).  The
+    floats s = fl(1 - a), k and fl(k s) lose at most 2^-51 relative
+    together, and 1 - a < 1, so fl(k s) - a >= (k + 1) (1e-9 - 2^-52)
+    - k 2^-51 > 0 and a - k s < 0.  Only the other rows, a share of about
+    2 / (k + 1), go through the network.  At k = 2 that share is 2/3,
+    and the window costs more than the network it saves.
+    """
+    if k >= 3:
+        theta = k / (k + 1) - 1e-9
+        far = np.subtract(u[:, 0], 0.5)
+        np.abs(far, out=far)
+        u = u.take(np.flatnonzero(far > theta - 0.5), axis=0)
+    a, b = sorted_simplex(u)
+    s = 1.0 - a
+    rem = s * k
+    np.subtract(a, rem, out=rem)
+    s *= k - 1
+    np.subtract(a, s, out=s)  # a - (k - 1) s
+    hit = rem > 0
+    hit &= s >= b
+    return int(np.count_nonzero(hit))
 
 
 _BALANCE_MAX_STEPS = 64  # generalized steps before a path counts as unresolved
@@ -278,18 +307,22 @@ def mc_balance(
 
     A block is walked as ``_first_returns`` walks its points, with the
     weights as three rows by rank, leader first, and one compaction per
-    step, on ``alive & ~complete``.  After a step the old rank 1 leads,
-    and the cyc ending (x0, x1, x2) -> (x1, x2, x0) differs from the swap
-    ending (x1, x0, x2) only in the last two ranks, so the weights move as
-    in a swap and then exchange x0 and x2 where cyc, by a xor of their
-    bits (a select with ``np.where`` on a random mask costs several times
-    more).  The letters are one int8 row: the rank r of the
-    letter that has not won.  The leaders of the first two steps differ,
-    so after step 2 exactly one letter has not won; before it, r is the
-    rank of the letter that will not win at step 2, which starts at rank
-    2.  A step moves r to 0 if r = 1 and to 2 - cyc otherwise, and a point
-    completes at the step it takes with r = 0.  The weight rows are
-    compressed on the completed points only to take their maximum.
+    step, on ``alive & ~complete & (a >= 1/2)``, with one ``flatnonzero``
+    and a ``take`` per row.  A point with a < 1/2, drawn or reached,
+    cannot complete: its next step is a hole (see ``_first_returns``), so
+    it is dropped, drawn points before the first step.  After a step the
+    old rank 1 leads, and the cyc ending (x0, x1, x2) -> (x1, x2, x0)
+    differs from the swap ending (x1, x0, x2) only in the last two ranks,
+    so the weights move as in a swap and then exchange x0 and x2 where
+    cyc, by a xor of their bits (a select with ``np.where`` on a random
+    mask costs several times more).  The letters are one int8 row: the
+    rank r of the letter that has not won.  The leaders of the first two
+    steps differ, so after step 2 exactly one letter has not won; before
+    it, r is the rank of the letter that will not win at step 2, which
+    starts at rank 2.  A step moves r to 0 if r = 1 and to 2 - cyc
+    otherwise, and a point completes at the step it takes with r = 0.  The
+    weight rows are taken on the completed points only to take their
+    maximum.
     """
     cs = [float(c) for c in c_grid]
     for c in cs:
@@ -299,8 +332,10 @@ def mc_balance(
     def block(i: int, size: int):
         rng = np.random.default_rng((seed, _TAG_BALANCE, i))
         a, b = sample_sorted_simplex(rng, size)
-        w0, w1, w2 = np.ones((3, size))  # the weights by rank
-        rank = np.full(size, 2, dtype=np.int8)  # the rank of the letter that has not won
+        at = np.flatnonzero(a >= 0.5)  # a < 1/2 falls into a hole at once
+        a, b = a.take(at), b.take(at)
+        w0, w1, w2 = np.ones((3, a.size))  # the weights by rank
+        rank = np.full(a.size, 2, dtype=np.int8)  # the rank of the letter that has not won
         done_max = []
         for _ in range(_BALANCE_MAX_STEPS):
             if not a.size:
@@ -319,16 +354,19 @@ def mc_balance(
             x ^= diff
             y ^= diff
             w0, w1 = w1, w0
-            done = [w.compress(complete) for w in (w0, w1, w2)]
+            at = np.flatnonzero(complete)
+            done = [w.take(at) for w in (w0, w1, w2)]
             done_max.append(np.maximum(np.maximum(done[0], done[1]), done[2]))
             # 0 if r = 1, else 2 - cyc
             rank = np.multiply(rank != 1, np.subtract(2, cyc, dtype=np.int8), dtype=np.int8)
-            keep = np.logical_xor(alive, complete)  # alive & ~complete
-            a, b, rank, w0, w1, w2 = (v.compress(keep) for v in (a, b, rank, w0, w1, w2))
+            keep = a >= 0.5  # a < 1/2 falls into a hole at the next step
+            keep &= np.logical_xor(alive, complete)  # alive & ~complete
+            at = np.flatnonzero(keep)
+            a, b, rank, w0, w1, w2 = (v.take(at) for v in (a, b, rank, w0, w1, w2))
         mx = np.concatenate(done_max)
         return mx, size - mx.size
 
-    parts = _run_blocks(block, _blocks(samples), workers)
+    parts = list(_run_blocks(block, _blocks(samples), workers))
     mx = np.concatenate([p[0] for p in parts])
     unresolved = sum(p[1] for p in parts)
     out = []
@@ -494,6 +532,41 @@ def _in_section(sides, a, b):
     return (u0 * a + v0 * b + w0 > 0) & (u1 * a + v1 * b + w1 > 0) & (u2 * a + v2 * b + w2 > 0)
 
 
+def _section_box(sides) -> tuple[float, float, float, float]:
+    """(a_lo, a_hi, b_lo, b_hi): an open box around every point (a, b)
+    with |a|, |b| <= 1 that ``_in_section`` accepts on these float sides.
+    There each float sum u a + v b + w is within 2^-51 (|u| + |v| + |w|)
+    of its exact value, so an accepted point has u a + v b + w > -e with
+    e = 2^-50 (|u| + |v| + |w|) on every side: it lies in the triangle of
+    the sides pushed out by e.  The box is that triangle's exact bounding
+    box, one float step wider each way."""
+    lines = []
+    for side in sides:
+        u, v, w = map(Fraction, side)
+        lines.append((u, v, w + (abs(u) + abs(v) + abs(w)) / 2**50))
+    corners = []
+    for (u1, v1, w1), (u2, v2, w2) in itertools.combinations(lines, 2):
+        det = u1 * v2 - u2 * v1
+        corners.append(((v1 * w2 - v2 * w1) / det, (u2 * w1 - u1 * w2) / det))
+    a, b = zip(*corners)
+    return (math.nextafter(float(min(a)), -math.inf), math.nextafter(float(max(a)), math.inf),
+            math.nextafter(float(min(b)), -math.inf), math.nextafter(float(max(b)), math.inf))
+
+
+def _section_hits(sides, box, a, b) -> np.ndarray:
+    """``np.flatnonzero(_in_section(sides, a, b))`` for float arrays whose
+    entries are NaN or in [-1, 1], given float sides and their
+    ``_section_box``: the triangle test runs only on the points inside the
+    box, a small share of the chart."""
+    a_lo, a_hi, b_lo, b_hi = box
+    near = a > a_lo
+    near &= a < a_hi
+    near &= b > b_lo
+    near &= b < b_hi
+    i = np.flatnonzero(near)
+    return i.compress(_in_section(sides, a.take(i), b.take(i)))
+
+
 def first_return(point: ChartPoint, loop: RauzyPath, cap: int = 10**4):
     """First genuine return of the point's orbit to the loop's cylinder.
 
@@ -566,64 +639,89 @@ def _first_returns(a, b, loop: RauzyPath, cap: int):
 
     After every step, a point whose image lies in the open section
     triangle (``_in_section``) returns, with the running sum of -log D as
-    its roof.  The first L steps are the loop's own blocks, so they take
-    each block's known branch (n, kind): ``_step_core`` with that n gives
-    c, rem and D, and the image is (b / D, c / D) after a cyc ending or
-    (b / D, rem / D) after a swap, the floats that
-    ``accelerated_step_batch`` computes there, without its counter.  A
-    point whose float arithmetic leaves that branch (rem >= b, rem <= 0,
-    the other ending, or D < b when n > 1) is outside the cylinder, where
-    ``first_return`` raises OutsideCylinder, and counts as lost, even if it
-    was back in the triangle before; the arrays are compacted once, after
-    those steps.
-    Each later step runs ``accelerated_step_batch`` on every point, dead
-    ones included, then compacts the arrays once, on ``alive &
-    ~returned``.  A dead point still has D >= b > 0, so its -log D is
-    finite junk that the compaction drops.  The section sides are made
-    floats once per call, and the images, D and the roof sums are updated
-    in place.
+    its roof.  ``_section_hits`` finds those points: the triangle test runs
+    only on the points in the triangle's widened bounding box.  The first
+    L steps are the loop's own blocks, so they take each block's known
+    branch (n, kind) with no counter: with s = 1 - a, rem = a - n s,
+    D = a - (n - 1) s and c = s - b, the image is (b / D, c / D) after a
+    cyc ending or (b / D, rem / D) after a swap, the floats that
+    ``accelerated_step_batch`` computes there.  For n = 1, rem and D are
+    a - s and a, the same floats as a - 1 s and a - 0 s.  These steps run
+    in place, in four rows allocated once per call (the caller's arrays
+    are not changed).  A point whose float arithmetic leaves that branch
+    (rem >= b, rem <= 0, the other ending, or D < b when n > 1) is outside
+    the cylinder, where ``first_return`` raises OutsideCylinder, and
+    counts as lost, even if it was back in the triangle before; the
+    arrays are compacted once, after those steps.
+    Each later step runs ``accelerated_step_batch`` on the running
+    points, then compacts the arrays once, with one ``flatnonzero`` and a
+    ``take`` per row.  A point that has not returned and whose image has
+    a < 1/2 is lost there, one step before it would fall into a hole:
+    fl(1 - a) >= 1/2 > a, so rem = a - n s < 0 for every n >= 1.  A dead
+    point still has D >= b > 0, so its -log D is finite junk that the
+    compaction drops.  The section sides are made floats once per call,
+    and the roof sums are updated in place.
     """
     tokens = _as_blocks(loop)
     sides = [tuple(map(float, side)) for side in _section_sides(loop)]
-    inside = np.ones(a.size, dtype=bool)
-    returned = np.zeros(a.size, dtype=bool)
+    box = _section_box(sides)
+    size = a.size
+    inside = np.ones(size, dtype=bool)
+    returned = np.zeros(size, dtype=bool)
+    test = np.empty(size, dtype=bool)
     early = []  # (index, roof) of the returns at each of the first L steps
-    cum = np.zeros(a.size)
+    cum = np.zeros(size)
+    a, b, c, rem = a.copy(), b.copy(), np.empty(size), np.empty(size)
     # an outside point's junk may be negative or NaN: its D has no log
     with np.errstate(divide="ignore", invalid="ignore"):
         for m, (n, kind) in enumerate(tokens, start=1):
-            c, _, rem, d = _step_core(a, b, n)
+            s = np.subtract(1.0, a, out=c)
+            if n == 1:
+                np.subtract(a, s, out=rem)
+            else:
+                np.subtract(a, s * n, out=rem)
+                np.subtract(a, s * (n - 1), out=a)
+            d = a
+            s -= b  # c = s - b
             cyc = kind == CYC
-            inside &= rem < b
-            inside &= rem > 0
-            inside &= (rem <= c) if cyc else (rem > c)
+            inside &= np.less(rem, b, out=test)
+            inside &= np.greater(rem, 0.0, out=test)
+            inside &= np.less_equal(rem, c, out=test) if cyc else np.greater(rem, c, out=test)
             if n > 1:
-                inside &= d >= b
-            kept = c if cyc else rem
-            a, b = b / d, np.divide(kept, d, out=kept)
+                inside &= np.greater_equal(d, b, out=test)
+            kept, free = (c, rem) if cyc else (rem, c)
+            np.divide(kept, d, out=kept)
+            np.divide(b, d, out=b)
             cum -= np.log(d, out=d)
+            a, b, c, rem = b, kept, d, free
             if m <= cap:
-                ret = _in_section(sides, a, b) & ~returned
-                returned |= ret
-                early.append((np.flatnonzero(ret), cum.compress(ret)))
-    found_index = [np.empty(0, dtype=np.int64)] + [i[inside[i]] for i, _ in early]
-    found_roofs = [np.empty(0)] + [r[inside[i]] for i, r in early]
-    running = inside & ~returned
+                i = _section_hits(sides, box, a, b)
+                i = i.compress(~returned.take(i))
+                returned[i] = True
+                early.append((i, cum.take(i)))
+    found_index = [np.empty(0, dtype=np.int64)] + [i.compress(inside.take(i)) for i, _ in early]
+    found_roofs = [np.empty(0)] + [r.compress(inside.take(i)) for i, r in early]
+    running = np.greater_equal(a, 0.5, out=test)
+    running &= inside
+    running[returned] = False
     index = np.flatnonzero(running)
-    lost = int(np.count_nonzero(~inside))
-    a, b, cum = (v.compress(running) for v in (a, b, cum))
+    lost = size - index.size - sum(i.size for i in found_index)
+    a, b, cum = (v.take(index) for v in (a, b, cum))
     for _ in range(len(tokens) + 1, cap + 1):
         if not a.size:
             break
         a, b, _, _, d, alive = accelerated_step_batch(a, b)
         cum -= np.log(d, out=d)
-        ret = _in_section(sides, a, b)
-        ret &= alive
-        found_index.append(index.compress(ret))
-        found_roofs.append(cum.compress(ret))
-        keep = np.logical_xor(alive, ret)  # alive & ~ret
-        lost += alive.size - int(np.count_nonzero(alive))
-        a, b, index, cum = (v.compress(keep) for v in (a, b, index, cum))
+        i = _section_hits(sides, box, a, b)
+        i = i.compress(alive.take(i))
+        found_index.append(index.take(i))
+        found_roofs.append(cum.take(i))
+        keep = a >= 0.5
+        keep &= alive
+        keep[i] = False
+        j = np.flatnonzero(keep)
+        lost += a.size - j.size - i.size
+        a, b, index, cum = (v.take(j) for v in (a, b, index, cum))
     lost += a.size  # still running at the cap
     return np.concatenate(found_index), np.concatenate(found_roofs), lost
 
@@ -643,21 +741,24 @@ def return_roofs(
     whole block) comes first.
 
     Section points are drawn Lebesgue-uniformly in fixed-size blocks
-    (block i seeded as (seed, tag, i)) until enough of them return or
-    the draw cap is reached; almost every uniform point eventually falls
-    into a hole, so the returning fraction is well below 1 and is part
-    of the measured statistics.  Returns (roof values, points drawn,
-    points lost to holes, the depth cap or float rounding out of the
-    cylinder); fewer than ``samples`` roof values means the draw cap
-    stopped the run.  Bit-identical for any worker count.
+    (block i seeded as (seed, tag, i)), and blocks 0, 1, ... are kept up
+    to the first one that brings the returns to ``samples``, or up to the
+    draw cap; almost every uniform point eventually falls into a hole, so
+    the returning fraction is well below 1 and is part of the measured
+    statistics.  Returns (roof values, points drawn, points lost to holes,
+    the depth cap or float rounding out of the cylinder): the kept blocks'
+    roofs in block order, and their totals.  Fewer than ``samples`` roof
+    values means the draw cap stopped the run.  Bit-identical for any
+    worker count.
 
-    Each block runs ``_first_returns``, which walks the loop's own blocks
-    without the counter, tests re-entry into the section triangle after
-    every step and compacts its arrays once per accelerated step.  As
-    each round of blocks ends, the totals so far
-    (``drawn``, ``returns``, ``lost``) and the round's wall time go to the
-    ``rauzygasket`` logger at DEBUG as one JSON line.  ValueError unless
-    samples >= 1.
+    Each block runs ``_first_returns``, on ``workers`` threads through
+    ``_run_blocks``; the blocks it has started past the stopping block, at
+    most ``2 workers``, are dropped.  The kept blocks form rounds of
+    ``max(workers, 1)``: round r is blocks r w to r w + w - 1, and the
+    last round ends at the stopping block.  As each round ends, the totals
+    so far (``drawn``, ``returns``, ``lost``) and the round's wall time go
+    to the ``rauzygasket`` logger at DEBUG as one JSON line.  ValueError
+    unless samples >= 1.
     """
     _check_samples(samples)
     validate_loop(loop)
@@ -667,27 +768,31 @@ def return_roofs(
         _, vals, lost = _first_returns(*sample_section(loop, rng, size), loop, cap)
         return vals, lost
 
-    # blocks are consumed in fixed-size rounds so the set of blocks (and
-    # hence the output) never depends on the worker count
-    round_size = 8
+    # blocks are kept in index order up to the first that brings the
+    # returns to ``samples``, so the output does not depend on the worker
+    # count
+    per_round = max(workers, 1)
+    max_blocks = -(-samples * _MAX_DRAW_FACTOR // _BLOCK)
     collected = []
     drawn = 0
     lost = 0
     got = 0
-    i = 0
-    max_blocks = -(-samples * _MAX_DRAW_FACTOR // _BLOCK)
-    while got < samples and i < max_blocks:
-        t0 = time.perf_counter()
-        batch = [(j, _BLOCK) for j in range(i, min(i + round_size, max_blocks))]
-        for vals, dead in _run_blocks(block, batch, workers):
+    t0 = time.perf_counter()
+    blocks = [(j, _BLOCK) for j in range(max_blocks)]
+    with contextlib.closing(_run_blocks(block, blocks, workers)) as results:
+        for j, (vals, dead) in enumerate(results):
             collected.append(vals)
             got += vals.size
             lost += dead
             drawn += _BLOCK
-        log.debug("%s", json.dumps({"stage": "draw", "round": i // round_size, "drawn": drawn,
-                                    "returns": got, "lost": lost,
-                                    "wall_s": time.perf_counter() - t0}))
-        i += round_size
+            if got >= samples or (j + 1) % per_round == 0 or j + 1 == max_blocks:
+                now = time.perf_counter()
+                log.debug("%s", json.dumps({"stage": "draw", "round": j // per_round,
+                                            "drawn": drawn, "returns": got, "lost": lost,
+                                            "wall_s": now - t0}))
+                t0 = now
+            if got >= samples:
+                break
     roofs = np.concatenate(collected) if collected else np.empty(0)
     return roofs, drawn, lost
 

@@ -331,6 +331,29 @@ def test_sorted_simplex_selection_network_matches_sorting():
         assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
 
 
+def test_run_blocks_yields_in_block_order_and_stops_when_closed():
+    started = []
+    lock = threading.Lock()
+
+    def fn(i, size):
+        with lock:
+            started.append(i)
+        threading.Event().wait(0.001 * (i % 3))  # later blocks may finish first
+        return i * size
+
+    blocks = [(i, 2) for i in range(40)]
+    for workers in (1, 3):
+        assert list(markov._run_blocks(fn, blocks, workers)) == [2 * i for i in range(40)]
+    started.clear()
+    results = markov._run_blocks(fn, blocks, 3)
+    assert [next(results) for _ in range(5)] == [0, 2, 4, 6, 8]
+    results.close()  # cancels the blocks not yet running, waits for the rest
+    seen = len(started)
+    assert seen <= 5 + 2 * 3
+    threading.Event().wait(0.05)
+    assert len(started) == seen
+
+
 def _float_boundary_points(rng, count):
     """Float chart points near the four margins of cell_of, at s = 1 - a
     log-uniform in [1e-12, 0.45]: a within a few ulps of n / (n + 1)
@@ -417,6 +440,27 @@ def test_counter_matches_loop_reference_and_exact_floor():
         assert n == (x - y) // (1 - x) + 1 == _counter_reference(x, y, 1 - x)
     assert _counter(F(17, 20), F(1, 10), F(3, 20))[0] == 6
     assert _counter(*exact[-1], 1 - exact[-1][0])[0] > 2**63
+    # a direct (a, b, s) with s != 1 - a where the float guess is 1 and only
+    # the up nudge reaches the loop reference's 2, as a scalar and an array
+    x, y, z = 0.3361170605456604, 0.26509803499846285, 0.07101902554719755
+    assert math.floor((x - y) / z) + 1 == 1 and _counter_reference(x, y, z) == 2
+    assert _counter(x, y, z) == (2, x - 2 * z, x - z)
+    n, rem, d = _counter(np.array([x]), np.array([y]), np.array([z]))
+    assert (n.tolist(), rem.tolist(), d.tolist()) == ([2.0], [x - 2 * z], [x - z])
+
+
+def test_batch_step_kills_every_point_with_a_below_one_half():
+    # fl(1 - a) >= 1/2 > a, so a - n s < 0 for every counter n >= 1: the
+    # first-return and balance walks drop such points without a step
+    a = np.linspace(1 / 3, 0.5, 4001)[:-1]
+    a = np.concatenate([a, [math.nextafter(0.5, 0) - j * math.ulp(0.25) for j in range(8)]])
+    fractions = np.concatenate([np.linspace(0, 1, 41), [math.nextafter(1, 0)]])
+    b = np.multiply.outer(a, fractions)  # b from 0 up to a itself
+    a = np.repeat(a, fractions.size)
+    b = b.ravel()
+    assert a.max() == math.nextafter(0.5, 0) and a.min() == 1 / 3 and b.min() == 0
+    alive = accelerated_step_batch(a, b)[5]
+    assert not alive.any()
 
 
 def _step_batch_reference(a, b):

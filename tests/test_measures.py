@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from test_markov import _FixedRows
 
 from rauzygasket.graph import (
     START,
@@ -20,6 +21,7 @@ from rauzygasket.markov import (
     TieOnBoundary,
     _counter,
     _step,
+    _step_core,
     accelerated_step_batch,
     apply_T,
     branch_preimage,
@@ -37,10 +39,14 @@ from rauzygasket.measures import (
     _BALANCE_MAX_STEPS,
     _TAG_BALANCE,
     _TAG_KERCKHOFF,
+    _TAG_TAIL,
     _as_blocks,
     _blocks,
     _first_returns,
     _in_section,
+    _kerckhoff_hits,
+    _section_box,
+    _section_hits,
     _section_sides,
     block_child,
     cylinder_measure,
@@ -367,17 +373,23 @@ def test_kerckhoff_worker_independent():
     assert a == b
 
 
+def _kerckhoff_reference_hits(a, b, t):
+    """The Kerckhoff hits among the chart points (a, b) the long way: the
+    counter, the remainder and the wins of every sample, then
+    ``1.0 + wins > t``."""
+    s = 1.0 - a
+    n = _counter(a, b, s)[0]
+    rem = a - n * s
+    wins = np.where(rem > 0, n, n - 1)
+    return int(np.count_nonzero(1.0 + wins > t))
+
+
 def _kerckhoff_reference(t, samples, seed):
-    """``mc_kerckhoff`` block by block the long way: the counter, the
-    remainder and the wins of every sample, then ``1.0 + wins > t``."""
+    """``mc_kerckhoff`` block by block the long way."""
     hits = 0
     for i, size in _blocks(samples):
         a, b = sample_sorted_simplex(np.random.default_rng((seed, _TAG_KERCKHOFF, i)), size)
-        s = 1.0 - a
-        n = _counter(a, b, s)[0]
-        rem = a - n * s
-        wins = np.where(rem > 0, n, n - 1)
-        hits += int(np.count_nonzero(1.0 + wins > t))
+        hits += _kerckhoff_reference_hits(a, b, t)
     return hits / samples
 
 
@@ -397,6 +409,27 @@ def test_kerckhoff_rejects_nan_threshold():
 def test_kerckhoff_infinite_threshold(t, expected):
     assert mc_kerckhoff(t, samples=100) == expected
     assert _kerckhoff_reference(t, 100, 0) == expected
+
+
+@pytest.mark.parametrize("k", [2, 5, 10, 100, 2**53])
+def test_kerckhoff_u0_window_skips_no_hit(k):
+    # rows with u0 one float step either side of the window ends 1 - theta
+    # and theta, and of k / (k + 1), where the event itself starts, each
+    # with u1 across [0, 1); plus random rows, so that some rows hit
+    theta = k / (k + 1) - 1e-9
+    edges = [1 - theta, theta, k / (k + 1), 1 / (k + 1)]
+    u0 = [x for e in edges for x in (math.nextafter(e, 0), e, math.nextafter(e, 1))]
+    u1 = np.concatenate([np.linspace(0, 1, 97)[:-1], u0, [1 - x for x in u0 if x > 0]])
+    rows = np.array([(x, y) for x in u0 for y in u1 if y < 1])
+    rows = np.concatenate([rows, np.random.default_rng(k % 1000).random((4096, 2))])
+    # u0 below 2^-53 and u1 = 0 give a = 1 and s = 0, where the reference's
+    # counter is inf and a - n s is NaN
+    with np.errstate(invalid="ignore"):
+        want = _kerckhoff_reference_hits(*sample_sorted_simplex(_FixedRows(rows), len(rows)),
+                                         float(k))
+    assert _kerckhoff_hits(rows, k) == want
+    if k <= 100:
+        assert want > 0
 
 
 # --- balance ---------------------------------------------------------------------------
@@ -729,6 +762,62 @@ def test_first_return_of_ccc_can_be_one_block():
     assert roofs[0] == pytest.approx(record.roof_value, rel=1e-12)
 
 
+def _first_returns_reference(a, b, loop, cap):
+    """``_first_returns`` with no shortcut: ``_step_core`` with each known
+    n for the first L steps, the triangle test on every point after every
+    step, and no point dropped before its step is a hole: each later step
+    runs ``accelerated_step_batch`` on every running point."""
+    blocks = _as_blocks(loop)
+    sides = [tuple(map(float, side)) for side in _section_sides(loop)]
+    inside = np.ones(a.size, dtype=bool)
+    returned = np.zeros(a.size, dtype=bool)
+    cum = np.zeros(a.size)
+    early = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m, (n, kind) in enumerate(blocks, start=1):
+            c, _, rem, d = _step_core(a, b, n)
+            inside &= (rem < b) & (rem > 0) & ((rem <= c) if kind == CYC else (rem > c))
+            if n > 1:
+                inside &= d >= b
+            a, b = b / d, (c if kind == CYC else rem) / d
+            cum = cum - np.log(d)
+            if m <= cap:
+                ret = _in_section(sides, a, b) & ~returned
+                returned |= ret
+                early.append((np.flatnonzero(ret), cum[ret]))
+    index = [i[inside[i]] for i, _ in early]
+    roofs = [r[inside[i]] for i, r in early]
+    running = np.flatnonzero(inside & ~returned)
+    lost = int(np.count_nonzero(~inside))
+    a, b, cum = a[running], b[running], cum[running]
+    for _ in range(len(blocks) + 1, cap + 1):
+        a, b, _, _, d, alive = accelerated_step_batch(a, b)
+        cum = cum - np.log(d)
+        ret = _in_section(sides, a, b) & alive
+        index.append(running[ret])
+        roofs.append(cum[ret])
+        lost += int(np.count_nonzero(~alive))
+        keep = alive & ~ret
+        a, b, cum, running = a[keep], b[keep], cum[keep], running[keep]
+    lost += a.size
+    return np.concatenate([[]] + index).astype(np.int64), np.concatenate([[]] + roofs), lost
+
+
+@pytest.mark.parametrize("loop", [loop_ccc(), loop_cccss()], ids=["ccc", "cccss"])
+def test_first_returns_match_the_walk_without_shortcuts(loop):
+    # the known-branch steps in place, the box before the triangle test and
+    # the drop of a < 1/2 change no index, roof bit or loss count
+    a, b = sample_section(loop, np.random.default_rng((7, _TAG_TAIL, 0)), 1 << 16)
+    a0, b0 = a.copy(), b.copy()
+    for cap in (1, 2, 3, 4, 7, 40, 10**4):
+        index, roofs, lost = _first_returns(a, b, loop, cap)
+        want_index, want_roofs, want_lost = _first_returns_reference(a, b, loop, cap)
+        assert np.array_equal(index, want_index) and lost == want_lost, cap
+        assert roofs.tobytes() == want_roofs.tobytes(), cap
+    assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+    assert index.size > 0
+
+
 @pytest.mark.parametrize("cap", [2, 40])
 @pytest.mark.parametrize("loop", [loop_ccc(), loop_cccss()], ids=["ccc", "cccss"])
 def test_vectorized_first_returns_match_scalar_first_return(loop, cap):
@@ -769,6 +858,31 @@ def test_vectorized_first_returns_match_scalar_first_return(loop, cap):
     assert outcomes[ReturnRecord if cap >= len(blocks) else NoReturn] > 0
 
 
+@pytest.mark.parametrize("loop", [loop_ccc(), loop_cccss()], ids=["ccc", "cccss"])
+def test_section_hits_equal_triangle_test_at_sides_and_vertices(loop):
+    # points within 1e-12 of every side and vertex, and a few float steps
+    # from each vertex, plus random chart points
+    rng = np.random.default_rng(23)
+    sides = [tuple(map(float, side)) for side in _section_sides(loop)]
+    verts = np.array([(float(x), float(y)) for x, y in section_triangle(loop)])
+    pts = [rng.random((2000, 2))]
+    for j in range(3):
+        p, q = verts[j], verts[j - 1]
+        t = np.concatenate([[0.0, 1.0], rng.random(3000)])[:, None]
+        pts.append(p + t * (q - p) + rng.uniform(-1e-12, 1e-12, (t.size, 2)))
+        steps = np.arange(-4, 5) * np.spacing(p)[:, None]
+        pts.append(np.stack(np.meshgrid(p[0] + steps[0], p[1] + steps[1]), -1).reshape(-1, 2))
+    a, b = np.concatenate(pts).T.copy()
+    want = np.flatnonzero(_in_section(sides, a, b))
+    assert np.array_equal(_section_hits(sides, _section_box(sides), a, b), want)
+    assert 0 < want.size < a.size - 2000
+    # the box is no narrower than the triangle: its sides' midpoints are out
+    a_lo, a_hi, b_lo, b_hi = _section_box(sides)
+    a_mid, b_mid = 0.5 * (a_lo + a_hi), 0.5 * (b_lo + b_hi)
+    assert not _in_section(sides, np.array([a_lo, a_hi, a_mid, a_mid]),
+                           np.array([b_mid, b_mid, b_lo, b_hi])).any()
+
+
 # --- tails -------------------------------------------------------------------------------------
 
 def test_return_roofs_deterministic_across_workers():
@@ -783,6 +897,23 @@ def test_return_roofs_one_sample_draws_one_block():
     r8, d8, l8 = return_roofs(loop_ccc(), 1, seed=21, workers=8)
     assert d1 == 65536 and r1.size >= 1
     assert np.array_equal(r1, r8) and (d1, l1) == (d8, l8)
+
+
+def test_return_roofs_keeps_blocks_up_to_the_first_that_reaches_samples():
+    loop = loop_ccc()
+    blocks = []
+    for j in range(4):
+        rng = np.random.default_rng((21, _TAG_TAIL, j))
+        blocks.append(_first_returns(*sample_section(loop, rng, 1 << 16), loop, 10**4))
+    totals = np.cumsum([index.size for index, _, _ in blocks])
+    for samples in (int(totals[0]), int(totals[1]), int(totals[1]) + 1):
+        stop = int(np.searchsorted(totals, samples))  # first block with total >= samples
+        kept = blocks[:stop + 1]
+        for workers in (1, 2, 3):
+            roofs, drawn, lost = return_roofs(loop, samples, seed=21, workers=workers)
+            assert drawn == (1 << 16) * (stop + 1)
+            assert roofs.tobytes() == np.concatenate([r for _, r, _ in kept]).tobytes()
+            assert lost == sum(dead for _, _, dead in kept)
 
 
 @pytest.mark.parametrize("samples, blocks", [(8192, 25), (8193, 26), (10**5, 306), (3 * 10**5, 916)])

@@ -12,7 +12,9 @@ Both branches have Jacobian determinant 1 / D^3.  D and (n+1) a - n are
 computed as a - (n - 1) s and a - n s with s = 1 - a, which is exact in
 floats for a >= 1/2; the form n a - (n - 1) would cancel about log10(n)
 digits.  That arithmetic, the counter n included, is written once, in
-``_step_core``, for one point and for float arrays alike.  On float
+``_step_core``, for one point and for float arrays alike; only
+``measures._first_returns`` spells it out again, in place, for the
+loop's own blocks, whose n is known.  On float
 arrays n is a float64 array, exact since a chart point has n <= 2^53,
 and the remainders that the counter's nudges compare are the step's rem
 and D, computed once.  A chart point
@@ -152,15 +154,12 @@ def _counter(a, b, s):
     return n, rem, d
 
 
-def _step_core(a, b, n=None):
+def _step_core(a, b):
     """(c, n, rem, D) of the accelerated step at the chart point (a, b),
-    scalar or arrays: with s = 1 - a, c = s - b, rem = a - n s and
-    D = a - (n - 1) s.  The counter n is counted unless it is given."""
+    scalar or arrays: with s = 1 - a, c = s - b, the counter n,
+    rem = a - n s and D = a - (n - 1) s."""
     s = 1 - a
-    if n is None:
-        n, rem, d = _counter(a, b, s)
-    else:
-        rem, d = a - n * s, a - (n - 1) * s
+    n, rem, d = _counter(a, b, s)
     c = s  # s - b, in place on arrays, as s is not needed any more
     c -= b
     return c, n, rem, d

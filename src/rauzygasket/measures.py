@@ -22,6 +22,7 @@ be confused:
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -336,7 +337,7 @@ def mc_balance(
         a, b = a.take(at), b.take(at)
         w0, w1, w2 = np.ones((3, a.size))  # the weights by rank
         rank = np.full(a.size, 2, dtype=np.int8)  # the rank of the letter that has not won
-        done_max = []
+        done_max = [np.empty(0)]  # the drop can empty a block before its first step
         for _ in range(_BALANCE_MAX_STEPS):
             if not a.size:
                 break
@@ -553,6 +554,15 @@ def _section_box(sides) -> tuple[float, float, float, float]:
             math.nextafter(float(min(b)), -math.inf), math.nextafter(float(max(b)), math.inf))
 
 
+@functools.lru_cache(maxsize=8)
+def _float_section(loop: RauzyPath):
+    """(sides, box): the float sides of ``_section_sides(loop)`` and their
+    ``_section_box``, worked out once per loop: ``_first_returns`` runs
+    once per block."""
+    sides = tuple(tuple(map(float, side)) for side in _section_sides(loop))
+    return sides, _section_box(sides)
+
+
 def _section_hits(sides, box, a, b) -> np.ndarray:
     """``np.flatnonzero(_in_section(sides, a, b))`` for float arrays whose
     entries are NaN or in [-1, 1], given float sides and their
@@ -659,12 +669,12 @@ def _first_returns(a, b, loop: RauzyPath, cap: int):
     a < 1/2 is lost there, one step before it would fall into a hole:
     fl(1 - a) >= 1/2 > a, so rem = a - n s < 0 for every n >= 1.  A dead
     point still has D >= b > 0, so its -log D is finite junk that the
-    compaction drops.  The section sides are made floats once per call,
-    and the roof sums are updated in place.
+    compaction drops.  The float sides and box come from
+    ``_float_section``, once per loop, and the roof sums are updated in
+    place.
     """
     tokens = _as_blocks(loop)
-    sides = [tuple(map(float, side)) for side in _section_sides(loop)]
-    box = _section_box(sides)
+    sides, box = _float_section(loop)
     size = a.size
     inside = np.ones(size, dtype=bool)
     returned = np.zeros(size, dtype=bool)

@@ -21,7 +21,6 @@ from rauzygasket.markov import (
     TieOnBoundary,
     _counter,
     _step,
-    _step_core,
     accelerated_step_batch,
     apply_T,
     branch_preimage,
@@ -491,6 +490,26 @@ def test_balance_matches_per_sample_reference(seed):
     assert rows[0]["completed"] > 300
 
 
+def test_balance_of_blocks_the_first_drop_empties():
+    """A block of one point with a < 1/2 is empty before its first step:
+    that point is unresolved, as when it died in the hole at step 1."""
+    grid = [2.0, 100.0, math.inf]
+    first = {seed: sample_sorted_simplex(np.random.default_rng((seed, _TAG_BALANCE, 0)), 1)[0][0]
+             for seed in range(12)}
+    assert min(first.values()) < 0.5 <= max(first.values())
+    for seed, a in first.items():
+        rows = mc_balance(grid, samples=1, seed=seed)
+        assert rows == _balance_reference(grid, 1, seed)
+        if a < 0.5:
+            assert all(r["probability"] == 0 and r["completed"] == 0 and r["unresolved"] == 1
+                       for r in rows)
+    # the same for a last block of one point
+    seed = next(s for s in range(8)
+                if sample_sorted_simplex(np.random.default_rng((s, _TAG_BALANCE, 1)), 1)[0][0] < 0.5)
+    rows = mc_balance(grid, samples=(1 << 16) + 1, seed=seed, workers=2)
+    assert rows[-1]["completed"] + rows[-1]["unresolved"] == (1 << 16) + 1
+
+
 def test_balance_rejects_c_below_one():
     with pytest.raises(ValueError):
         mc_balance([0.5], samples=100, seed=0)
@@ -763,8 +782,8 @@ def test_first_return_of_ccc_can_be_one_block():
 
 
 def _first_returns_reference(a, b, loop, cap):
-    """``_first_returns`` with no shortcut: ``_step_core`` with each known
-    n for the first L steps, the triangle test on every point after every
+    """``_first_returns`` with no shortcut: the step's arithmetic with each
+    known n for the first L steps, out of place, the triangle test on every point after every
     step, and no point dropped before its step is a hole: each later step
     runs ``accelerated_step_batch`` on every running point."""
     blocks = _as_blocks(loop)
@@ -775,7 +794,8 @@ def _first_returns_reference(a, b, loop, cap):
     early = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for m, (n, kind) in enumerate(blocks, start=1):
-            c, _, rem, d = _step_core(a, b, n)
+            s = 1 - a
+            c, rem, d = s - b, a - n * s, a - (n - 1) * s
             inside &= (rem < b) & (rem > 0) & ((rem <= c) if kind == CYC else (rem > c))
             if n > 1:
                 inside &= d >= b

@@ -264,7 +264,7 @@ def cmd_render(args) -> int:
         return EXIT_BAD_INPUT
     prov = {"version": __version__, "seed": seed, "points": args.points}
     with open(args.out, "wb") as fh:  # an unwritable path fails before the work
-        points = _stage("chaos_game", args.workers, chaos_game, args.points, seed=seed,
+        points = _stage("chaos_game", 1, chaos_game, args.points, seed=seed,
                         workers=args.workers)
         image = _stage("rasterize", args.workers, rasterize, points, width, height,
                        workers=args.workers)

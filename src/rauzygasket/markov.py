@@ -48,9 +48,7 @@ POINTS_MAGIC = b"RGPTS001"
 _CHAIN_BLOCK = 4096  # chaos-game chains advanced together; wide enough that
 # a step's numpy calls cost more than their interpreter overhead, and part
 # of the seeded stream, since it sets the shape of the draw array
-_TILE = 32  # chaos-game output steps per tile; two tiles take turns, so one
-# is copied into the result while the other fills
-_COPY_CHAINS = 256  # chains per slice of a tile copy, so a slice stays in cache
+_TILE = 32  # chaos-game steps whose scatter indices one call computes
 _BURN_IN = 64  # chaos-game steps from the barycenter before output starts
 _CLOUD_BLOCK = 1 << 15  # points per block of rasterize and box counting,
 # so their temporaries fit in cache whatever the cloud
@@ -342,24 +340,20 @@ def chaos_game(
     One generator, ``default_rng(seed)``, draws every move of the call
     step-major as ``uint8``: row ``step`` holds that step's draw for each
     chain, so a step reads one contiguous row and advances three 1-D
-    coordinate arrays.  The steps run in chunks of at most ``_TILE``: the
-    burn-in, then the output steps, whose chunks are tiles.  Two sets of
-    buffers take turns, each the scatter indices of a chunk's moves,
-    computed once per chunk, and a tile of its output.  Once a chunk is
-    stepped, its tile is copied into the chain-major result
-    ``_COPY_CHAINS`` chains at a time, and the indices of the chunk after
-    next go into the freed buffers.  Memory: 16 bytes per point for the
-    result, one byte per step and chain for the draws, and the two sets of
-    buffers, fixed.
+    coordinate arrays.  The scatter indices of the moves are computed
+    ``_TILE`` steps at a time.  The result is planar and step-major: each
+    output step writes its lambda1 and lambda2 of every chain as two
+    contiguous rows of one float64 buffer of shape (2, per_chain * chains),
+    and the call returns its (count, 2) transposed view, so row r is chain
+    ``r % chains`` at output step ``r // chains``.  A count that is not a
+    whole number of output steps ends on part of the last one.  Memory:
+    16 bytes per point for the result, one byte per step and chain for the
+    draws, and the ``_TILE`` rows of indices.
 
-    All chains advance together on the calling thread.  With ``workers >
-    1`` one helper thread does that copy and those indices while the
-    calling thread steps the next chunk, and a chunk starts only once the
-    helper is done with its buffers; with ``workers == 1`` the same work
-    runs inline.  More workers add nothing beyond that one helper: two
-    threads of 2048 chains each gave no gain, since at that width each
-    numpy call costs mostly interpreter time.  The moves, the copies and
-    the indices are the same for any ``workers``, so the output is too.
+    The game runs on the calling thread for any ``workers``, and its
+    output does not depend on ``workers``: splitting the chains over two
+    threads gave no gain, since at 2048 chains each numpy call costs
+    mostly interpreter time, which holds the GIL.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -371,69 +365,25 @@ def chaos_game(
     # coordinate i of chain j
     lam = np.full((3, chains), 1.0 / 3.0)
     flat = lam.reshape(-1)
-    row = np.arange(chains)
-    stride = np.intp(chains)
-    total = np.empty(chains)
-    index = np.empty((2, _TILE, chains), dtype=np.intp)
-    tiles = np.empty((2, 2, _TILE, chains))
-    out = np.empty((chains, per_chain, 2))
-    # the steps run in chunks of at most _TILE: the burn-in, then the output
-    # steps, a tile each; chunk c uses index[c % 2] and tiles[c % 2]
-    chunks = [(lo, min(lo + _TILE, burn_in)) for lo in range(0, burn_in, _TILE)]
-    chunks += [(lo, min(lo + _TILE, steps)) for lo in range(burn_in, steps, _TILE)]
-
-    def prepare(c):
-        """The scatter indices of chunk c."""
-        lo, hi = chunks[c]
-        idx = np.multiply(draws[lo:hi], stride, out=index[c % 2, :hi - lo])
-        idx += row
-
-    def finish(c):
-        """Copy chunk c's tile, if it is an output chunk, into the result,
-        then prepare chunk c + 2 in the buffers chunk c is done with."""
-        lo, hi = chunks[c]
-        if lo >= burn_in:
-            k, n = lo - burn_in, hi - lo
-            for first in range(0, chains, _COPY_CHAINS):
-                part = slice(first, first + _COPY_CHAINS)
-                out[part, k:k + n, 0] = tiles[c % 2, 0, :n, part].T
-                out[part, k:k + n, 1] = tiles[c % 2, 1, :n, part].T
-        if c + 2 < len(chunks):
-            prepare(c + 2)
-
-    for c in range(min(2, len(chunks))):
-        prepare(c)
-    helper = None
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        helper = ThreadPoolExecutor(1)
-    pending = [None, None]  # what the helper still does with each buffer pair
     l0, l1, l2 = lam
     l01 = lam[:2]
-    try:
-        for c, (lo, hi) in enumerate(chunks):
-            if pending[c % 2] is not None:
-                pending[c % 2].result()
-            rows = tiles[c % 2].transpose(1, 0, 2)  # rows[j] is output step j's (l0, l1)
-            for j, idx in enumerate(index[c % 2, :hi - lo]):
-                flat[idx] = 1.0
-                np.add(l0, l1, out=total)  # (l0 + l1) + l2: this order fixes the stream
-                np.add(total, l2, out=total)
-                np.divide(lam, total, out=lam)
-                if lo >= burn_in:
-                    rows[j] = l01
-            if helper is None:
-                finish(c)
-            else:
-                pending[c % 2] = helper.submit(finish, c)
-        for done in pending:
-            if done is not None:
-                done.result()
-    finally:
-        if helper is not None:
-            helper.shutdown()
-    return out.reshape(chains * per_chain, 2)[:count]
+    row = np.arange(chains)
+    total = np.empty(chains)
+    index = np.empty((_TILE, chains), dtype=np.intp)
+    out = np.empty((2, per_chain * chains))
+    rows = out.reshape(2, per_chain, chains)  # rows[:, k] is output step k's (l0, l1)
+    for lo in range(0, steps, _TILE):
+        hi = min(lo + _TILE, steps)
+        idx = np.multiply(draws[lo:hi], np.intp(chains), out=index[:hi - lo])
+        idx += row
+        for step, i in enumerate(idx, lo):
+            flat[i] = 1.0
+            np.add(l0, l1, out=total)  # (l0 + l1) + l2: this order fixes the stream
+            np.add(total, l2, out=total)
+            np.divide(lam, total, out=lam)
+            if step >= burn_in:
+                rows[:, step - burn_in] = l01
+    return out[:, :count].T
 
 
 # --- point cloud serialization ----------------------------------------------
@@ -450,10 +400,12 @@ def write_points_csv(points: np.ndarray, fh, provenance: Optional[dict] = None):
 
 def write_points_binary(points: np.ndarray, fh):
     """Binary emitter: 8-byte magic then little-endian float64 (a, b)
-    pairs."""
+    pairs, ``_CLOUD_BLOCK`` rows at a time, so a cloud of any layout is
+    never copied whole."""
     fh.write(POINTS_MAGIC)
-    arr = np.ascontiguousarray(np.asarray(points, dtype="<f8"))
-    fh.write(arr.tobytes())
+    points = np.asarray(points)
+    for lo in range(0, len(points), _CLOUD_BLOCK):
+        fh.write(np.ascontiguousarray(points[lo:lo + _CLOUD_BLOCK], dtype="<f8").data)
 
 
 def read_points_binary(fh) -> np.ndarray:
@@ -461,6 +413,8 @@ def read_points_binary(fh) -> np.ndarray:
     if magic != POINTS_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     raw = fh.read()
+    if len(raw) % 16:
+        raise ValueError(f"a payload of {len(raw)} bytes is not whole 16-byte (a, b) pairs")
     flat = np.frombuffer(raw, dtype="<f8")
     return flat.reshape(-1, 2)
 

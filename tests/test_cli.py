@@ -506,7 +506,7 @@ def test_verbose_render_logs_one_json_line_per_stage(tmp_path):
     lines = [json.loads(line[len("DEBUG "):]) for line in loud.stderr.splitlines()
              if line.startswith("DEBUG {")]
     assert [(line["stage"], line["workers"]) for line in lines] == [
-        ("chaos_game", 2), ("rasterize", 2), ("write", 1)]
+        ("chaos_game", 1), ("rasterize", 2), ("write", 1)]
     assert all(set(line) == {"stage", "wall_s", "workers"} and line["wall_s"] >= 0
                for line in lines)
     assert "DEBUG" not in quiet.stderr

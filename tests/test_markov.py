@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import math
 import random
@@ -12,6 +11,7 @@ import pytest
 
 from exactgame import chaos_game_exact
 from rauzygasket import markov
+from rauzygasket.dimension import box_counting
 from rauzygasket.induction import Hole, Step, accelerated_step, make_system
 from rauzygasket.markov import (
     BOUNDARY_TOL,
@@ -561,8 +561,8 @@ def test_chaos_game_deterministic_and_worker_independent():
 
 @pytest.mark.parametrize("count, burn_in", [
     (1, 64), (4095, 64),  # one point per chain
-    (4096 * _TILE, 64), (4096 * _TILE + 1, 64),  # one tile exactly, and one step past it
-    (4096 * 2 * _TILE, 64), (4096 * 2 * _TILE + 1, 64),  # two tiles; a third reuses the first
+    (4096 * _TILE, 64), (4096 * _TILE + 1, 64),  # _TILE output steps, and one step past them
+    (4096 * 2 * _TILE, 64), (4096 * 2 * _TILE + 1, 64),  # 2 _TILE output steps, and one past
     (4096 * 3 + 17, 64), (4096 * 2 * _TILE + 1, 0),
 ])
 def test_chaos_game_same_bytes_for_any_workers(count, burn_in):
@@ -571,47 +571,10 @@ def test_chaos_game_same_bytes_for_any_workers(count, burn_in):
         assert chaos_game(count, burn_in=burn_in, seed=12, workers=workers).tobytes() == want
 
 
-class _LazyFuture:
-    """A task that runs only when its result is asked for."""
-
-    def __init__(self, fn, args):
-        self.task = fn, args
-
-    def result(self):
-        if self.task:
-            fn, args = self.task
-            self.task = None
-            fn(*args)
-
-
-class _LazyExecutor:
-    """An executor whose tasks run as late as a caller that reads every
-    result allows: a tile refilled before its copy was waited on is lost."""
-
-    def __init__(self, max_workers):
-        assert max_workers == 1
-
-    def submit(self, fn, *args):
-        return _LazyFuture(fn, args)
-
-    def shutdown(self):
-        pass
-
-
-def test_chaos_game_refills_a_tile_only_after_its_copy(monkeypatch):
-    # the reference stays alive, so a result left unwritten cannot be
-    # memory that still holds it
-    want = chaos_game(4096 * _TILE * 5, seed=14, workers=1)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _LazyExecutor)
-    assert chaos_game(4096 * _TILE * 5, seed=14, workers=2).tobytes() == want.tobytes()
-
-
-def test_threads_agree_under_a_short_switch_interval(monkeypatch):
-    # more threads than cores, thread switches every microsecond, and
-    # chaos-game copies of one chain at a time, slower than filling a tile
+def test_threads_agree_under_a_short_switch_interval():
+    # more threads than cores and thread switches every microsecond
     cloud = chaos_game(4096 * _TILE * 5, seed=14, workers=1)
     image = rasterize(cloud, 96, 64, workers=1)
-    monkeypatch.setattr(markov, "_COPY_CHAINS", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -648,8 +611,9 @@ def _reference_chain(chain, chains, per_chain, burn_in, seed):
 # the ids keep the names these cases ran under when they also took weights
 @pytest.mark.parametrize("burn_in", [64, 0], ids=["64-None", "0-None"])
 def test_chaos_game_matches_scalar_reference(count, burn_in):
-    # chain j owns rows j*per_chain .. (j+1)*per_chain - 1 of the output;
-    # 4096 * 65 + 3 points give 66 steps per chain, past two 32-step tiles
+    # chain j owns rows j, j + chains, j + 2 chains, ... of the output;
+    # 4096 * 65 + 3 points give 66 steps per chain, past two 32-step
+    # chunks of scatter indices, and end on 3 points of the last step
     pts = chaos_game(count, burn_in=burn_in, seed=11)
     per_chain = -(-count // 4096)
     chains = -(-count // per_chain)
@@ -657,7 +621,7 @@ def test_chaos_game_matches_scalar_reference(count, burn_in):
         if chain >= chains:
             continue
         ref = _reference_chain(chain, chains, per_chain, burn_in, 11)
-        got = pts[chain * per_chain:(chain + 1) * per_chain]
+        got = pts[chain::chains]
         assert got.tobytes() == ref[:len(got)].tobytes(), chain
 
 
@@ -699,6 +663,22 @@ def test_points_binary_roundtrip():
     buf.seek(0)
     back = read_points_binary(buf)
     assert np.array_equal(back, pts)
+
+
+@pytest.mark.parametrize("points", [
+    chaos_game(_CLOUD_BLOCK + 3, seed=4),  # planar, written in two blocks
+    np.random.default_rng(4).random((_CLOUD_BLOCK + 3, 2)),  # C-ordered
+])
+def test_points_binary_payload_is_the_little_endian_cloud(points):
+    buf = io.BytesIO()
+    write_points_binary(points, buf)
+    assert buf.getvalue() == b"RGPTS001" + np.asarray(points, "<f8").tobytes()
+
+
+@pytest.mark.parametrize("size", [3, 8, 24])
+def test_read_points_binary_names_a_payload_of_partial_pairs(size):
+    with pytest.raises(ValueError, match=f"payload of {size} bytes"):
+        read_points_binary(io.BytesIO(b"RGPTS001" + bytes(size)))
 
 
 def test_write_pgm_payload_is_the_uint8_image():
@@ -796,6 +776,16 @@ def test_rasterize_same_bytes_for_any_workers(n):
     want = _reference_raster(pts, 96, 64).tobytes()
     for workers in (1, 2, 3, 8):
         assert rasterize(pts, 96, 64, workers=workers).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [1, _CLOUD_BLOCK + 1, 4096 * 3 + 17])
+def test_cloud_consumers_do_not_depend_on_its_layout(n):
+    planar = chaos_game(n, seed=18)
+    packed = np.ascontiguousarray(planar)
+    assert n == 1 or not planar.flags.c_contiguous  # one row is both layouts
+    assert rasterize(planar, 96, 64).tobytes() == rasterize(packed, 96, 64).tobytes()
+    sizes = [2.0**-k for k in range(2, 8)]
+    assert box_counting(planar, sizes).counts == box_counting(packed, sizes).counts
 
 
 class _CountingLock:

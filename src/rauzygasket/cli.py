@@ -196,7 +196,6 @@ def cmd_dimension(args) -> int:
         measure_floor=floor,
         points=args.points,
         seed=seed,
-        workers=args.workers,
     )
     lo, hi = survivor_mass(1)
     payload = report.to_json()
@@ -239,13 +238,12 @@ def cmd_tail(args) -> int:
 
 # --- render -----------------------------------------------------------------------
 
-def _stage(name: str, workers: int, fn, /, *args, **kwargs):
+def _stage(name: str, fn, /, *args, **kwargs):
     """``fn(*args, **kwargs)``, with its wall time logged at DEBUG as one
     JSON line, as ``dimension_report`` logs its stages."""
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
-    log.debug("%s", json.dumps({"stage": name, "wall_s": time.perf_counter() - t0,
-                                "workers": workers}))
+    log.debug("%s", json.dumps({"stage": name, "wall_s": time.perf_counter() - t0}))
     return out
 
 
@@ -264,11 +262,9 @@ def cmd_render(args) -> int:
         return EXIT_BAD_INPUT
     prov = {"version": __version__, "seed": seed, "points": args.points}
     with open(args.out, "wb") as fh:  # an unwritable path fails before the work
-        points = _stage("chaos_game", 1, chaos_game, args.points, seed=seed,
-                        workers=args.workers)
-        image = _stage("rasterize", args.workers, rasterize, points, width, height,
-                       workers=args.workers)
-        _stage("write", 1, write_pgm, image, fh, provenance=prov)
+        points = _stage("chaos_game", chaos_game, args.points, seed=seed)
+        image = _stage("rasterize", rasterize, points, width, height)
+        _stage("write", write_pgm, image, fh, provenance=prov)
     _emit({"provenance": _provenance(args, seed=seed), "out": args.out,
            "occupied_pixels": int(np.count_nonzero(image))})
     return EXIT_OK
@@ -278,7 +274,7 @@ def cmd_points(args) -> int:
     seed = _seed_of(args)
     prov = {"version": __version__, "seed": seed, "points": args.points}
     with open(args.out, "w" if args.format == "csv" else "wb") as fh:
-        points = chaos_game(args.points, seed=seed, workers=args.workers)
+        points = chaos_game(args.points, seed=seed)
         if args.format == "csv":
             write_points_csv(points, fh, provenance=prov)
         else:
@@ -319,7 +315,9 @@ def cmd_verify(args) -> int:
 def _add_common(p):
     p.add_argument("--seed", type=_non_negative_int, default=None,
                    help="RNG seed (default: RAUZY_SEED env var or 0)")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="Monte Carlo threads of tail and verify; the other "
+                        "commands run on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

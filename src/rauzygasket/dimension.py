@@ -670,7 +670,6 @@ def dimension_report(
     measure_floor: Fraction = Fraction(1, 10**12),
     points: int = 10**6,
     seed: int = 0,
-    workers: int = 1,
 ) -> DimensionReport:
     """Run the full pipeline: delta, alpha_1, the 2 - min bound, and an
     independent box-counting estimate on a chaos-game cloud.
@@ -696,7 +695,7 @@ def dimension_report(
                   measure_floor=measure_floor)
     done("alpha1", cylinders_enumerated=alpha.enumerated,
          alpha1_remainder=format_scalar(alpha.remainder_exact))
-    cloud = timed("chaos_game", chaos_game, points, seed=seed, workers=workers)
+    cloud = timed("chaos_game", chaos_game, points, seed=seed)
     done("chaos_game")
     box = timed("box_counting", box_counting, cloud, _BOX_GRID)
     done("box_counting", box_counts=box.counts)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -50,8 +49,8 @@ _CHAIN_BLOCK = 4096  # chaos-game chains advanced together; wide enough that
 # of the seeded stream, since it sets the shape of the draw array
 _TILE = 32  # chaos-game steps whose scatter indices one call computes
 _BURN_IN = 64  # chaos-game steps from the barycenter before output starts
-_CLOUD_BLOCK = 1 << 15  # points per block of rasterize and box counting,
-# so their temporaries fit in cache whatever the cloud
+_CLOUD_BLOCK = 1 << 15  # points per block of rasterize, box counting and
+# the point writers, so their temporaries fit in cache whatever the cloud
 
 
 class TieOnBoundary(Exception):
@@ -350,10 +349,10 @@ def chaos_game(
     16 bytes per point for the result, one byte per step and chain for the
     draws, and the ``_TILE`` rows of indices.
 
-    The game runs on the calling thread for any ``workers``, and its
-    output does not depend on ``workers``: splitting the chains over two
-    threads gave no gain, since at 2048 chains each numpy call costs
-    mostly interpreter time, which holds the GIL.
+    The game runs on the calling thread; ``workers`` is accepted and not
+    used.  Splitting the chains over two threads gave no gain, since at
+    2048 chains each numpy call costs mostly interpreter time, which holds
+    the GIL.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -389,13 +388,16 @@ def chaos_game(
 # --- point cloud serialization ----------------------------------------------
 
 def write_points_csv(points: np.ndarray, fh, provenance: Optional[dict] = None):
-    """CSV emitter: one "a,b" row per point, 17 significant digits."""
+    """CSV emitter: one "a,b" row per point, 17 significant digits.  Each
+    block of ``_CLOUD_BLOCK`` rows is formatted by one ``%``."""
     if provenance:
         items = " ".join(f"{k}={v}" for k, v in sorted(provenance.items()))
         fh.write(f"# {items}\n")
     fh.write("a,b\n")
-    for a, b in points:
-        fh.write(f"{a:.17g},{b:.17g}\n")
+    points = np.asarray(points)
+    for lo in range(0, len(points), _CLOUD_BLOCK):
+        block = points[lo:lo + _CLOUD_BLOCK]
+        fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_points_binary(points: np.ndarray, fh):
@@ -421,57 +423,44 @@ def read_points_binary(fh) -> np.ndarray:
 
 # --- rasterization ------------------------------------------------------------
 
-def rasterize(points: np.ndarray, width: int, height: int, workers: int = 1) -> np.ndarray:
+def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
     """Log-scaled density raster of simplex points in barycentric coords.
 
     Simplex vertices map to an equilateral triangle inscribed in the
     image; brightness is log(1 + hits) rescaled to 0..255.  Points are
-    counted ``_CLOUD_BLOCK`` at a time, so the work grows with the point
-    count, not with the pixel count.  The blocks are dealt out to at most
-    ``workers`` threads in turn, never more threads than blocks.  Each
-    thread computes a block's pixel indices into its own preallocated
-    buffers with in-place ufuncs, then adds them to the one shared
-    ``int64`` count array with ``np.add.at`` under a lock, since ``add.at``
-    is not atomic across threads, so only the index computation overlaps
-    between threads.  numpy 2.4's ``add.at`` holds the GIL for its whole
-    loop too, but numpy does not promise that, so the lock stays.  The
-    float expressions are the same for any ``workers`` and integer counts commute, so the image is too.  The
-    brightness is written into the image a band of about ``_CLOUD_BLOCK``
-    pixels at a time, so the call holds the counts, the image and five
-    block-sized rows per thread, and no full-size float raster.
+    counted ``_CLOUD_BLOCK`` at a time, in order, on the calling thread,
+    so the work grows with the point count, not with the pixel count.  A
+    block's pixel indices are computed into one set of preallocated
+    buffers with in-place ufuncs and added to the one ``int64`` count
+    array with ``np.add.at``.  The brightness is written into the image a
+    band of about ``_CLOUD_BLOCK`` pixels at a time, so the call holds the
+    counts, the image and five block-sized rows, and no full-size float
+    raster.
     """
     points = np.asarray(points)
     counts = np.zeros(height * width, dtype=np.int64)
-    threads = min(max(workers, 1), -(-len(points) // _CLOUD_BLOCK))
-    lock = threading.Lock()
     unit = np.sqrt(3.0) / 2.0  # the height of the unit triangle
     last = np.array([[width - 1], [height - 1]])  # the last column and row
-
-    def count(first, step):
-        """Count blocks first, first + step, ... of the cloud."""
-        buffers = np.empty((3, _CLOUD_BLOCK)), np.empty((2, _CLOUD_BLOCK), dtype=np.int64)
-        for lo in range(first * _CLOUD_BLOCK, len(points), step * _CLOUD_BLOCK):
-            lam1 = points[lo:lo + _CLOUD_BLOCK, 0]
-            lam2 = points[lo:lo + _CLOUD_BLOCK, 1]
-            floats, ints = (b[:, :len(lam1)] for b in buffers)
-            lam3, xy = floats[0], floats[1:]
-            np.subtract(1.0, lam1, out=lam3)
-            lam3 -= lam2
-            np.multiply(0.5, lam3, out=xy[0])
-            xy[0] += lam2  # x = lam2 + 0.5 lam3
-            np.multiply(unit, lam3, out=xy[1])  # y = unit lam3, then y / unit
-            xy[1] /= unit
-            xy *= last
-            np.copyto(ints, xy, casting="unsafe")
-            np.clip(ints, 0, last, out=ints)
-            xs, ys = ints
-            np.subtract(height - 1, ys, out=ys)
-            ys *= width
-            ys += xs
-            with lock:
-                np.add.at(counts, ys, 1)
-
-    list(_run_blocks(count, [(t, threads) for t in range(threads)], threads))
+    buffers = np.empty((3, _CLOUD_BLOCK)), np.empty((2, _CLOUD_BLOCK), dtype=np.int64)
+    for lo in range(0, len(points), _CLOUD_BLOCK):
+        lam1 = points[lo:lo + _CLOUD_BLOCK, 0]
+        lam2 = points[lo:lo + _CLOUD_BLOCK, 1]
+        floats, ints = (b[:, :len(lam1)] for b in buffers)
+        lam3, xy = floats[0], floats[1:]
+        np.subtract(1.0, lam1, out=lam3)
+        lam3 -= lam2
+        np.multiply(0.5, lam3, out=xy[0])
+        xy[0] += lam2  # x = lam2 + 0.5 lam3
+        np.multiply(unit, lam3, out=xy[1])  # y = unit lam3, then y / unit
+        xy[1] /= unit
+        xy *= last
+        np.copyto(ints, xy, casting="unsafe")
+        np.clip(ints, 0, last, out=ints)
+        xs, ys = ints
+        np.subtract(height - 1, ys, out=ys)
+        ys *= width
+        ys += xs
+        np.add.at(counts, ys, 1)
     counts = counts.reshape(height, width)
     peak = np.log1p(counts.max())  # the brightest pixel, as log1p is monotone
     image = np.empty((height, width), dtype=np.uint8)

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import rauzygasket
 from rauzygasket.cli import main
+from rauzygasket.dimension import dimension_report
 from rauzygasket.measures import TailCurve
 
 
@@ -316,8 +318,8 @@ def test_seed_env_default(capsys, monkeypatch):
 
 
 def test_render_deterministic(tmp_path, capsys):
-    # 300,000 points give two chaos-game tiles and ten raster blocks, so
-    # the helper thread and the raster threads both run at --workers 2
+    # 300,000 points give two chaos-game tiles and ten raster blocks; the
+    # image must not depend on --workers
     out1 = tmp_path / "a.pgm"
     out2 = tmp_path / "b.pgm"
     for path, workers in ((out1, "1"), (out2, "2")):
@@ -334,6 +336,20 @@ def test_render_deterministic(tmp_path, capsys):
     data1, data2 = out1.read_bytes(), out2.read_bytes()
     assert data1 == data2
     assert data1.startswith(b"P5\n")
+
+
+def test_only_the_monte_carlo_starts_threads(tmp_path, capsys, monkeypatch):
+    # render counts its raster on the calling thread whatever --workers
+    # is, and dimension runs no Monte Carlo
+    def refuse(thread):
+        raise AssertionError(f"{thread} started outside the Monte Carlo")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, _ = run_cli(capsys, "render", "--points", "100000", "--size", "64x64",
+                      "--workers", "4", "--out", str(tmp_path / "x.pgm"))
+    assert code == 0
+    report = dimension_report(delta_depth=4, alpha_depth=1, n_cap=16, points=20000)
+    assert report.samples_used == {"cloud_points": 20000}
 
 
 def test_render_single_point(tmp_path, capsys):
@@ -505,10 +521,8 @@ def test_verbose_render_logs_one_json_line_per_stage(tmp_path):
     assert quiet.returncode == loud.returncode == 0
     lines = [json.loads(line[len("DEBUG "):]) for line in loud.stderr.splitlines()
              if line.startswith("DEBUG {")]
-    assert [(line["stage"], line["workers"]) for line in lines] == [
-        ("chaos_game", 1), ("rasterize", 2), ("write", 1)]
-    assert all(set(line) == {"stage", "wall_s", "workers"} and line["wall_s"] >= 0
-               for line in lines)
+    assert [line["stage"] for line in lines] == ["chaos_game", "rasterize", "write"]
+    assert all(set(line) == {"stage", "wall_s"} and line["wall_s"] >= 0 for line in lines)
     assert "DEBUG" not in quiet.stderr
     # stdout differs only in the recorded flag
     docs = [json.loads(run.stdout) for run in (quiet, loud)]

@@ -22,18 +22,15 @@ from .graph import (  # noqa: F401
     RauzyPath,
     build_graph,
     cocycle_of,
-    enumerate_paths,
     is_complete,
     is_positive,
 )
 from .markov import (  # noqa: F401
     ChartPoint,
     MarkovCell,
-    apply_T,
     cell_of,
     chaos_game,
     cylinder_vertices,
-    inverse_branch,
     jacobian,
 )
 from .measures import (  # noqa: F401

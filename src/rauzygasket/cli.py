@@ -4,8 +4,8 @@ Machine-readable output only on stdout (JSON unless --format csv where
 supported); logs on stderr.  Exit codes: 0 success (a hole is a result,
 not a failure), 1 invariant violation, 2 bad input, 3 budget
 insufficiency, 4 I/O error.  Stochastic commands take --seed (default:
-RAUZY_SEED env var, else 0, always echoed) and --workers; results are
-bit-identical for any worker count.
+RAUZY_SEED env var, else 0, always echoed); tail and verify also take
+--workers, and their results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -312,12 +312,9 @@ def cmd_verify(args) -> int:
 
 # --- parser --------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_seed(p):
     p.add_argument("--seed", type=_non_negative_int, default=None,
                    help="RNG seed (default: RAUZY_SEED env var or 0)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="Monte Carlo threads of tail and verify; the other "
-                        "commands run on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ncap", type=int, default=128)
     p.add_argument("--floor", default=None)
     p.add_argument("--points", type=_positive_int, default=10**6)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("tail", help="first-return roof tail")
@@ -366,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_positive_int, default=10**4)
     p.add_argument("--t-grid", default=None, help="comma-separated thresholds")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--workers", type=_positive_int, default=1, help="Monte Carlo threads")
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("render", help="rasterize the gasket to a PGM file")
@@ -374,26 +372,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default="1024x1024",
                    help=f"WIDTHxHEIGHT, each side 64..{RENDER_MAX_SIDE}")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="accepted and not used: render runs on one thread")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("points", help="emit a chaos-game point cloud")
     p.add_argument("--points", type=_positive_int, default=10**5)
     p.add_argument("--format", choices=("csv", "bin"), default="csv")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_points)
 
     p = sub.add_parser("distortion", help="distortion-bound experiment")
     p.add_argument("--samples", type=_positive_int, default=10**5)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_distortion)
 
     p = sub.add_parser("verify", help="named invariant suites")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--workers", type=_positive_int, default=1, help="Monte Carlo threads")
     p.set_defaults(func=cmd_verify)
 
     return parser

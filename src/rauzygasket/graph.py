@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .induction import IDENTITY, KINDS, LETTERS, STAY, Letter, _mat_mul, apply_kind
 
@@ -51,9 +51,6 @@ class Edge:
 class RauzyGraph:
     vertices: tuple[Perm3, ...]
     edges: tuple[Edge, ...]
-
-    def out_edges(self, state: Perm3) -> list[Edge]:
-        return [e for e in self.edges if e.src == state]
 
     def strongly_connected(self) -> bool:
         """Mutual reachability of every pair of non-hole vertices."""
@@ -182,25 +179,6 @@ class RauzyPath:
     def winners(self) -> set[Letter]:
         return {st.winner for st in self.steps}
 
-    def __add__(self, other: "RauzyPath") -> "RauzyPath":
-        if other.start != self.end:
-            raise NonComposablePath(
-                f"cannot append a path starting at {other.start} to one ending "
-                f"at {self.end}"
-            )
-        return RauzyPath(start=self.start, steps=self.steps + other.steps)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "winner": st.winner,
-                "n": st.n,
-                "from": list(st.src),
-                "to": list(st.dst),
-            }
-            for st in self.steps
-        ]
-
 
 def make_step(state: Perm3, kind: str, n: int = 1) -> PathStep:
     return PathStep(
@@ -219,11 +197,6 @@ def path_from_blocks(start: Perm3, blocks: Sequence[tuple[int, str]]) -> RauzyPa
     return RauzyPath(start=start, steps=tuple(steps))
 
 
-def path_from_kinds(start: Perm3, kinds: Sequence[str]) -> RauzyPath:
-    """Elementary path given by a sequence of step kinds."""
-    return path_from_blocks(start, [(1, kind) for kind in kinds])
-
-
 def cocycle_of(path: RauzyPath) -> tuple[tuple[int, int, int], ...]:
     """Path-ordered product of the letter-coordinate length blocks."""
     m = IDENTITY
@@ -240,15 +213,6 @@ def is_complete(path: RauzyPath) -> bool:
 def is_positive(path: RauzyPath) -> bool:
     """True iff the path's cocycle matrix has strictly positive entries."""
     return all(x > 0 for row in cocycle_of(path) for x in row)
-
-
-def enumerate_paths(start: Perm3, length: int) -> Iterator[RauzyPath]:
-    """All elementary paths of the given length, in lexicographic order of
-    their kind sequences (stay < swap < cyc)."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    for kinds in itertools.product(KINDS, repeat=length):
-        yield path_from_kinds(start, kinds)
 
 
 # --- exhaustive completeness => positivity check ---------------------------

@@ -128,11 +128,6 @@ class SpecialSystem:
             "order": list(self.order),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "SpecialSystem":
-        lengths = [parse_fraction(s) for s in obj["lengths"]]
-        return make_system(*lengths)
-
 
 _DIGITS = 4000  # below the interpreter's default cap on int-to-str digits
 _PIECE = 10**_DIGITS

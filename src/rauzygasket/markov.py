@@ -22,7 +22,7 @@ is in one arithmetic: float coordinates (Monte Carlo, rendering) or exact
 ones such as Fraction (cell boundaries, and differential tests against
 the induction on lengths).  One scalar step, ``_step``, runs the same
 code on both: the core, the boundary test, the hole test, the kind and
-the image.  ``cell_of``, ``apply_T`` and ``jacobian`` are views of it,
+the image.  ``cell_of`` and ``jacobian`` are views of it,
 and ``measures`` walks the roof and first returns through it; only the
 boundary test tells the two arithmetics apart.
 ``accelerated_step_batch`` is the same step on float arrays.
@@ -70,10 +70,6 @@ class ChartPoint:
     @property
     def c(self):
         return 1 - self.a - self.b
-
-    @staticmethod
-    def from_fractions(a: Fraction, b: Fraction) -> "ChartPoint":
-        return ChartPoint(a, b).validate()
 
     def coords(self) -> tuple:
         return self.a, self.b, self.c
@@ -170,7 +166,7 @@ def _step(p: ChartPoint, tol: float = BOUNDARY_TOL):
     a margin is 0, a float point when a margin is below ``tol``, since its
     classification there is not trustworthy.  The image is (b / D,
     max(rem, c) / D): the swap ending keeps rem, the cyc ending c.  It is
-    not validated here; ``apply_T`` validates it.
+    not validated here.
     """
     a, b = p.validate().a, p.b
     c, n, rem, d = _step_core(a, b)
@@ -187,15 +183,6 @@ def cell_of(p: ChartPoint, tol: float = BOUNDARY_TOL):
     """Markov cell of a chart point, or Hole; TieOnBoundary on a cell
     boundary (see ``_step``)."""
     return _step(p, tol)[0]
-
-
-def apply_T(p: ChartPoint):
-    """One accelerated step: returns (image ChartPoint, MarkovCell), or
-    Hole.  The image is re-sorted, so it is again a chart point."""
-    cell, _, image = _step(p)
-    if isinstance(cell, Hole):
-        return cell
-    return image.validate(), cell
 
 
 def jacobian(p: ChartPoint) -> float:
@@ -230,13 +217,6 @@ def branch_preimage(n: int, kind: str, a, b, c):
     v = _mat_vec(accelerated_matrix(n, kind), (a, b, c))
     t = v[0] + v[1] + v[2]
     return v[0] / t, v[1] / t
-
-
-def inverse_branch(cell: MarkovCell, p: ChartPoint) -> ChartPoint:
-    """The inverse of the branch labeled by ``cell``, defined on the whole
-    chart simplex: projective action of the branch matrix."""
-    p.validate()
-    return ChartPoint(*branch_preimage(cell.n, cell.kind, *p.coords())).validate()
 
 
 # --- vectorized float dynamics (shared by the Monte Carlo modules) ----------
@@ -323,12 +303,7 @@ def _run_blocks(fn, blocks, workers: int):
 
 # --- the gasket as an attractor ---------------------------------------------
 
-def chaos_game(
-    count: int,
-    burn_in: int = _BURN_IN,
-    seed: int = 0,
-    workers: int = 1,
-) -> np.ndarray:
+def chaos_game(count: int, seed: int = 0, workers: int = 1) -> np.ndarray:
     """Random backward iteration of the three elementary gasket maps.
 
     Returns an (count, 2) array of (lambda1, lambda2) coordinates in the
@@ -358,7 +333,7 @@ def chaos_game(
         raise ValueError("count must be >= 1")
     per_chain = max(1, -(-count // _CHAIN_BLOCK))
     chains = -(-count // per_chain)
-    steps = burn_in + per_chain
+    steps = _BURN_IN + per_chain
     draws = np.random.default_rng(seed).integers(0, 3, size=(steps, chains), dtype=np.uint8)
     # lam[i] is coordinate i of every chain; lam.flat[i * chains + j] is
     # coordinate i of chain j
@@ -380,8 +355,8 @@ def chaos_game(
             np.add(l0, l1, out=total)  # (l0 + l1) + l2: this order fixes the stream
             np.add(total, l2, out=total)
             np.divide(lam, total, out=lam)
-            if step >= burn_in:
-                rows[:, step - burn_in] = l01
+            if step >= _BURN_IN:
+                rows[:, step - _BURN_IN] = l01
     return out[:, :count].T
 
 
@@ -423,21 +398,12 @@ def read_points_binary(fh) -> np.ndarray:
 
 # --- rasterization ------------------------------------------------------------
 
-def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Log-scaled density raster of simplex points in barycentric coords.
-
-    Simplex vertices map to an equilateral triangle inscribed in the
-    image; brightness is log(1 + hits) rescaled to 0..255.  Points are
-    counted ``_CLOUD_BLOCK`` at a time, in order, on the calling thread,
-    so the work grows with the point count, not with the pixel count.  A
-    block's pixel indices are computed into one set of preallocated
-    buffers with in-place ufuncs and added to the one ``int64`` count
-    array with ``np.add.at``.  The brightness is written into the image a
-    band of about ``_CLOUD_BLOCK`` pixels at a time, so the call holds the
-    counts, the image and five block-sized rows, and no full-size float
-    raster.
-    """
-    points = np.asarray(points)
+def _pixel_counts(points: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Hits per pixel of ``rasterize``'s triangle, as a (height, width)
+    ``int64`` array.  The points are counted ``_CLOUD_BLOCK`` at a time, in
+    order: a block's pixel indices are computed into one set of
+    preallocated buffers with in-place ufuncs and added to the counts with
+    ``np.add.at``.  The buffers are freed when the call returns."""
     counts = np.zeros(height * width, dtype=np.int64)
     unit = np.sqrt(3.0) / 2.0  # the height of the unit triangle
     last = np.array([[width - 1], [height - 1]])  # the last column and row
@@ -461,7 +427,21 @@ def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
         ys *= width
         ys += xs
         np.add.at(counts, ys, 1)
-    counts = counts.reshape(height, width)
+    return counts.reshape(height, width)
+
+
+def rasterize(points: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Log-scaled density raster of simplex points in barycentric coords.
+
+    Simplex vertices map to an equilateral triangle inscribed in the
+    image; brightness is log(1 + hits) rescaled to 0..255.  The hits are
+    counted by ``_pixel_counts`` on the calling thread, so the work grows
+    with the point count, not with the pixel count.  The brightness is
+    written into the image a band of about ``_CLOUD_BLOCK`` pixels at a
+    time, so the call holds the counts, the image and one band, and no
+    full-size float raster.
+    """
+    counts = _pixel_counts(np.asarray(points), width, height)
     peak = np.log1p(counts.max())  # the brightest pixel, as log1p is monotone
     image = np.empty((height, width), dtype=np.uint8)
     rows = max(1, _CLOUD_BLOCK // width)

@@ -405,17 +405,6 @@ def _orbit(point: ChartPoint, blocks: Sequence[tuple[int, str]]):
         point = image
 
 
-def roof_scale(point: ChartPoint, blocks: Sequence[tuple[int, str]]) -> Fraction:
-    """Exact l1 norm of the de-renormalized length vector along the given
-    accelerated blocks: the product of the per-block totals n a - (n-1).
-
-    Raises OutsideCylinder if the point does not follow the blocks.
-    """
-    point.exact()  # ValueError for a float point
-    steps = itertools.islice(_orbit(point, blocks), len(blocks))
-    return math.prod((d for _, d, _ in steps), start=Fraction(1))
-
-
 def _as_blocks(path) -> list[tuple[int, str]]:
     if isinstance(path, RauzyPath):
         return [(st.n, st.kind) for st in path.steps]
@@ -763,12 +752,10 @@ def return_roofs(
 
     Each block runs ``_first_returns``, on ``workers`` threads through
     ``_run_blocks``; the blocks it has started past the stopping block, at
-    most ``2 workers``, are dropped.  The kept blocks form rounds of
-    ``max(workers, 1)``: round r is blocks r w to r w + w - 1, and the
-    last round ends at the stopping block.  As each round ends, the totals
-    so far (``drawn``, ``returns``, ``lost``) and the round's wall time go
-    to the ``rauzygasket`` logger at DEBUG as one JSON line.  ValueError
-    unless samples >= 1.
+    most ``2 workers``, are dropped.  As each kept block is taken, its
+    index, the totals so far (``drawn``, ``returns``, ``lost``) and the
+    wall time since the previous one go to the ``rauzygasket`` logger at
+    DEBUG as one JSON line.  ValueError unless samples >= 1.
     """
     _check_samples(samples)
     validate_loop(loop)
@@ -781,7 +768,6 @@ def return_roofs(
     # blocks are kept in index order up to the first that brings the
     # returns to ``samples``, so the output does not depend on the worker
     # count
-    per_round = max(workers, 1)
     max_blocks = -(-samples * _MAX_DRAW_FACTOR // _BLOCK)
     collected = []
     drawn = 0
@@ -795,12 +781,10 @@ def return_roofs(
             got += vals.size
             lost += dead
             drawn += _BLOCK
-            if got >= samples or (j + 1) % per_round == 0 or j + 1 == max_blocks:
-                now = time.perf_counter()
-                log.debug("%s", json.dumps({"stage": "draw", "round": j // per_round,
-                                            "drawn": drawn, "returns": got, "lost": lost,
-                                            "wall_s": now - t0}))
-                t0 = now
+            now = time.perf_counter()
+            log.debug("%s", json.dumps({"stage": "draw", "block": j, "drawn": drawn,
+                                        "returns": got, "lost": lost, "wall_s": now - t0}))
+            t0 = now
             if got >= samples:
                 break
     roofs = np.concatenate(collected) if collected else np.empty(0)
@@ -824,9 +808,21 @@ def _check_grid(t_grid) -> None:
             raise ValueError(f"tail threshold {t} must be finite and > 0")
 
 
-def _tail_fit(roofs: np.ndarray, draws: int, t_grid):
-    """``fit_tail`` with the thresholds that entered the fit in place of
-    their number."""
+def fit_tail(
+    roofs: np.ndarray,
+    draws: int,
+    t_grid: Optional[Sequence[float]] = None,
+) -> tuple[list, list, float, float, list]:
+    """Empirical tail P(r >= log T), normalized by section points drawn,
+    and its log-log slope: (thresholds, probabilities, exponent, RMS
+    residual, the thresholds that entered the fit).
+
+    Only thresholds exceeded by at least ``_MIN_COUNT`` returns enter the
+    fit (variance control).  The default grid spans the genuine tail:
+    from the 99th percentile of the observed roofs (past any short-return
+    bulk) down to the ``_MIN_COUNT`` order statistic.  The exponent and
+    residual are NaN when fewer than two thresholds enter the fit.
+    """
     _check_grid(t_grid)
     n = roofs.size
     if t_grid is None and n > _MIN_COUNT:
@@ -857,23 +853,6 @@ def _tail_fit(roofs: np.ndarray, draws: int, t_grid):
     return ts, probs, -slope, resid, window
 
 
-def fit_tail(
-    roofs: np.ndarray,
-    draws: int,
-    t_grid: Optional[Sequence[float]] = None,
-) -> tuple[list, list, float, float, int]:
-    """Empirical tail P(r >= log T), normalized by section points drawn,
-    and its log-log slope.
-
-    Only thresholds exceeded by at least ``_MIN_COUNT`` returns enter the
-    fit (variance control).  The default grid spans the genuine tail:
-    from the 99th percentile of the observed roofs (past any short-return
-    bulk) down to the ``_MIN_COUNT`` order statistic.
-    """
-    ts, probs, exponent, resid, window = _tail_fit(roofs, draws, t_grid)
-    return ts, probs, exponent, resid, len(window)
-
-
 def roof_tail(
     loop: RauzyPath,
     samples: int,
@@ -885,12 +864,12 @@ def roof_tail(
 ) -> TailCurve:
     """Tail curve over at least ``samples`` first-return samples.
 
-    ``return_roofs`` logs each draw round; the fit logs its window and
+    ``return_roofs`` logs each kept block; the fit logs its window and
     wall time as one more JSON line at DEBUG."""
     _check_grid(t_grid)
     roofs, drawn, lost = return_roofs(loop, samples, seed=seed, cap=cap, workers=workers)
     t0 = time.perf_counter()
-    ts, probs, exponent, residual, window = _tail_fit(roofs, drawn, t_grid)
+    ts, probs, exponent, residual, window = fit_tail(roofs, drawn, t_grid)
     fit_t_min, fit_t_max = min(window, default=None), max(window, default=None)
     log.debug("%s", json.dumps({"stage": "fit", "fit_points": len(window), "fit_t_min": fit_t_min,
                                 "fit_t_max": fit_t_max, "wall_s": time.perf_counter() - t0}))

@@ -139,7 +139,7 @@ def test_criterion_6_roof_tail_exponent():
         6,
         ok,
         f"{roofs.size:,} first returns ({drawn:,} drawn): delta-hat "
-        f"{exponent:.3f} > 0, residual {residual:.3f} < 0.1 on {used} points",
+        f"{exponent:.3f} > 0, residual {residual:.3f} < 0.1 on {len(used)} points",
     )
 
 

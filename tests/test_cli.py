@@ -238,10 +238,10 @@ def test_tail_without_fit_is_strict_json(capsys):
     ("distortion", "--samples", "-5"),
     ("tail", "--samples", "100", "--cap", "0"),
     ("tail", "--samples", "100", "--workers", "-3"),
-    ("dimension", "--workers", "0"),
+    ("points", "--out", "never.csv", "--seed", "-1"),
     ("render", "--out", "never.pgm", "--workers", "0"),
-    ("points", "--out", "never.csv", "--workers", "-1"),
-    ("distortion", "--workers", "0"),
+    ("distortion", "--seed", "-1"),
+    ("verify", "--suite", "kerckhoff", "--workers", "0"),
     ("verify", "--suite", "partition", "--workers", "0"),
     ("step", "1/2", "1/3", "1/6", "--iters", "0"),
     ("classify", "1/2", "1/3", "1/6", "--iters", "-4"),
@@ -541,12 +541,15 @@ def test_verbose_tail_logs_one_json_line_per_round_and_fit(argv, code):
     assert "DEBUG" not in quiet.stderr
     lines = [json.loads(line[len("DEBUG "):]) for line in loud.stderr.splitlines()
              if not line.startswith("ERROR draw cap reached")]
-    *rounds, fit = lines
-    assert [line.pop("stage") for line in lines] == ["draw"] * len(rounds) + ["fit"]
-    assert [line["round"] for line in rounds] == list(range(len(rounds)))
+    *draws, fit = lines
+    assert [line.pop("stage") for line in lines] == ["draw"] * len(draws) + ["fit"]
+    # one line per kept block of 65,536 section points, whatever --workers is
+    assert all(set(line) == {"block", "drawn", "returns", "lost", "wall_s"} for line in draws)
+    assert [line["block"] for line in draws] == list(range(len(draws)))
     assert all(line["wall_s"] >= 0 for line in lines)
     report = json.loads(loud.stdout)
-    last = rounds[-1]
+    assert len(draws) == report["drawn"] // 65536
+    last = draws[-1]
     assert (last["drawn"], last["returns"], last["lost"]) == (
         report["drawn"], report["samples"], report["no_return"])
     assert {k: fit[k] for k in ("fit_points", "fit_t_min", "fit_t_max")} == {

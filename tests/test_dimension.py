@@ -21,7 +21,7 @@ from rauzygasket.graph import START
 from rauzygasket.induction import STAY
 from rauzygasket.markov import chaos_game, sample_sorted_simplex
 from rauzygasket.measures import Q_ONES, cylinder_measure, path_probability, running_mass
-from rauzygasket.graph import path_from_blocks, path_from_kinds
+from rauzygasket.graph import path_from_blocks
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_all_stay_cylinder_decays_like_inverse_square():
     prev = F(0)
     for k in range(6, 13):
         n = 2**k
-        mass = cylinder_measure(path_from_kinds(START, [STAY] * n))
+        mass = cylinder_measure(path_from_blocks(START, [(1, STAY)] * n))
         assert mass == F(6, (n + 2) * (2 * n + 3))
         scaled = n * n * mass
         assert prev < scaled < 3

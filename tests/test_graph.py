@@ -10,18 +10,21 @@ from rauzygasket.graph import (
     RauzyPath,
     build_graph,
     cocycle_of,
-    enumerate_paths,
     is_complete,
     is_positive,
     make_step,
     path_from_blocks,
-    path_from_kinds,
     verify_complete_implies_positive,
 )
-from rauzygasket.induction import Step, _mat_mul, _mat_vec, rauzy_step
+from rauzygasket.induction import KINDS, Step, _mat_mul, _mat_vec, rauzy_step
 from rauzygasket.measures import dual_update
 
 from test_induction import random_system
+
+
+def elementary_path(start, kinds):
+    """The elementary path of the given step kinds."""
+    return path_from_blocks(start, [(1, kind) for kind in kinds])
 
 
 def test_graph_shape():
@@ -55,7 +58,7 @@ def test_cocycle_empty_path_is_identity():
 
 
 def test_single_step_block_shape():
-    path = path_from_kinds(START, ["swap"])
+    path = elementary_path(START, ["swap"])
     m = cocycle_of(path)
     # winner letter 1: its row gains the other two entries
     assert m == ((1, 1, 1), (0, 1, 0), (0, 0, 1))
@@ -77,7 +80,7 @@ def test_cocycle_det_unimodular():
     rng = random.Random(3)
     kinds = ("stay", "swap", "cyc")
     for _ in range(200):
-        path = path_from_kinds(START, [rng.choice(kinds) for _ in range(8)])
+        path = elementary_path(START, [rng.choice(kinds) for _ in range(8)])
         assert _det(cocycle_of(path)) in (1, -1)
 
 
@@ -87,59 +90,46 @@ def test_cocycle_concatenation():
     for _ in range(100):
         seq = [rng.choice(kinds) for _ in range(9)]
         cut = rng.randrange(10)
-        p = path_from_kinds(START, seq)
-        p1 = path_from_kinds(START, seq[:cut])
-        p2 = path_from_kinds(p1.end, seq[cut:])
-        assert cocycle_of(p1 + p2) == cocycle_of(p)
+        p = elementary_path(START, seq)
+        p1 = elementary_path(START, seq[:cut])
+        p2 = elementary_path(p1.end, seq[cut:])
         assert _mat_mul(cocycle_of(p1), cocycle_of(p2)) == cocycle_of(p)
 
 
 def test_non_composable():
-    p1 = path_from_kinds(START, ["swap"])
-    with pytest.raises(NonComposablePath):
-        p1 + path_from_kinds(START, ["swap"])    # wrong start state
+    p1 = elementary_path(START, ["swap"])
+    with pytest.raises(NonComposablePath):  # the second step's start is wrong
+        RauzyPath(START, p1.steps + elementary_path(START, ["swap"]).steps)
     with pytest.raises(NonComposablePath):
         RauzyPath(start=START, steps=(make_step((2, 1, 3), "swap"),))
 
 
 def test_accelerated_block_expands_to_elementary_product():
     blocks = path_from_blocks(START, [(3, "cyc"), (2, "swap")])
-    elementary = path_from_kinds(
+    elementary = elementary_path(
         START, ["stay", "stay", "cyc"] + ["stay", "swap"]
     )
     assert cocycle_of(blocks) == cocycle_of(elementary)
 
 
 def test_completeness_examples():
-    p_all_one = path_from_kinds(START, ["stay", "stay", "stay"])
+    p_all_one = elementary_path(START, ["stay", "stay", "stay"])
     assert p_all_one.winners() == {1}
     assert not is_complete(p_all_one)
-    p_complete = path_from_kinds(START, ["cyc", "cyc", "cyc"])
+    p_complete = elementary_path(START, ["cyc", "cyc", "cyc"])
     assert [st.winner for st in p_complete.steps] == [1, 2, 3]
     assert is_complete(p_complete)
-    p_two = path_from_kinds(START, ["swap", "swap"])
+    p_two = elementary_path(START, ["swap", "swap"])
     assert [st.winner for st in p_two.steps] == [1, 2]
     assert not is_complete(p_two)
-
-
-def test_enumerate_paths_counts_and_order():
-    assert len(list(enumerate_paths(START, 0))) == 1
-    one = list(enumerate_paths(START, 1))
-    g = build_graph()
-    assert len(one) == len(g.out_edges(START)) == 3
-    two = list(enumerate_paths(START, 2))
-    assert len(two) == 9
-    rank = {"stay": 0, "swap": 1, "cyc": 2}
-    keys = [tuple(rank[st.kind] for st in p.steps) for p in two]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
 
 
 def test_complete_implies_positive_small_direct():
     # direct integer-matrix check, independent of the quotient automaton
     for start in itertools.permutations((1, 2, 3)):
         for length in range(1, 8):
-            for path in enumerate_paths(start, length):
+            for kinds in itertools.product(KINDS, repeat=length):
+                path = elementary_path(start, kinds)
                 if is_complete(path):
                     assert is_positive(path), path
     report = verify_complete_implies_positive(7)
@@ -153,7 +143,7 @@ def test_positive_once_stays_positive():
         seq = [rng.choice(kinds) for _ in range(12)]
         state, seen_positive = START, False
         for cut in range(1, 13):
-            p = path_from_kinds(START, seq[:cut])
+            p = elementary_path(START, seq[:cut])
             if seen_positive:
                 assert is_positive(p)
             seen_positive = seen_positive or is_positive(p)
@@ -177,9 +167,3 @@ def test_realized_path_recovers_lengths():
         unnorm = tuple(x * scale for x in cur.lengths)
         assert _mat_vec(cocycle_of(path), unnorm) == s.lengths
 
-
-def test_path_json():
-    p = path_from_blocks(START, [(2, "cyc")])
-    assert p.to_json() == [
-        {"winner": 1, "n": 2, "from": [1, 2, 3], "to": [2, 3, 1]}
-    ]

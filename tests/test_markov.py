@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,12 +22,12 @@ from rauzygasket.markov import (
     _CLOUD_BLOCK,
     _TILE,
     _counter,
+    _step,
     accelerated_step_batch,
-    apply_T,
+    branch_preimage,
     cell_of,
     chaos_game,
     cylinder_vertices,
-    inverse_branch,
     jacobian,
     rasterize,
     read_points_binary,
@@ -73,7 +74,7 @@ def test_cell_hole_iff_leader_below_half():
 
 def test_cell_exact_boundary_raises():
     with pytest.raises(TieOnBoundary):
-        cell_of(ChartPoint.from_fractions(F(2, 3), F(2, 9)))  # rem == c exactly
+        cell_of(ChartPoint(F(2, 3), F(2, 9)).validate())  # rem == c exactly
 
 
 def test_cell_float_boundary_raises():
@@ -92,7 +93,8 @@ def test_mid_run_hole_cells():
 # --- forward map ------------------------------------------------------------------
 
 def test_apply_T_worked_example():
-    img, cell = apply_T(ChartPoint(0.7, 0.18))
+    cell, _, img = _step(ChartPoint(0.7, 0.18))
+    img.validate()
     assert cell == MarkovCell(n=2, kind="cyc")
     # unnormalized total 2a-1 = 0.4; sorted image carries the raw-formula
     # values 0.18/0.4 and ((n+1)a-n)/0.4 = 0.25 as first and last coords
@@ -102,13 +104,13 @@ def test_apply_T_worked_example():
 
 
 def test_apply_T_hole():
-    assert apply_T(ChartPoint(0.45, 0.30)) == Hole(substeps=0)
+    assert _step(ChartPoint(0.45, 0.30)) == (Hole(substeps=0), None, None)
 
 
 def test_perron_fixed_point():
     t = 0.5436890126920764  # real root of t^3 + t^2 + t = 1
     p = ChartPoint(t, t * t)
-    img, cell = apply_T(p)
+    cell, _, img = _step(p)
     assert cell == MarkovCell(n=1, kind="cyc")
     assert abs(img.a - p.a) < 1e-12 and abs(img.b - p.b) < 1e-12
 
@@ -146,7 +148,7 @@ def test_cell_vertex_interiors_classify_to_n():
             tot = sum(w)
             a = sum(wi * v[0] for wi, v in zip(w, verts)) / tot
             b = sum(wi * v[1] for wi, v in zip(w, verts)) / tot
-            cell = cell_of(ChartPoint.from_fractions(a, b))
+            cell = cell_of(ChartPoint(a, b).validate())
             assert cell == MarkovCell(n=n, kind="swap")
 
 
@@ -162,9 +164,9 @@ def test_branch_maps_cell_onto_full_simplex():
             tot = sum(w)
             a = sum(wi * v[0] for wi, v in zip(w, verts)) / tot
             b = sum(wi * v[1] for wi, v in zip(w, verts)) / tot
-            out = apply_T(ChartPoint.from_fractions(a, b))
-            assert isinstance(out, tuple)
-            images.append((out[0].a, out[0].b))
+            cell, _, img = _step(ChartPoint(a, b).validate())
+            assert not isinstance(cell, Hole)
+            images.append((img.validate().a, img.b))
         xs = [p[0] for p in images]
         assert min(xs) < 0.45 and max(xs) > 0.85
 
@@ -172,8 +174,7 @@ def test_branch_maps_cell_onto_full_simplex():
 # --- inverse branches -----------------------------------------------------------------
 
 def test_inverse_branch_worked_example():
-    cell = MarkovCell(n=2, kind="cyc")
-    p = inverse_branch(cell, ChartPoint(0.45, 0.30))
+    p = ChartPoint(*branch_preimage(2, "cyc", *ChartPoint(0.45, 0.30).coords())).validate()
     assert p.a == pytest.approx(0.7, abs=1e-12)
     assert p.b == pytest.approx(0.18, abs=1e-12)
 
@@ -185,9 +186,11 @@ def test_inverse_branch_roundtrip_random():
     kinds = rng.integers(0, 2, size=a.size)
     for x, y, n, k in zip(a, b, ns, kinds):
         cell = MarkovCell(n=int(n), kind="swap" if k == 0 else "cyc")
-        p = inverse_branch(cell, ChartPoint(float(x), float(y)))
-        img, got = apply_T(p)
+        q = ChartPoint(float(x), float(y)).validate()
+        p = ChartPoint(*branch_preimage(cell.n, cell.kind, *q.coords())).validate()
+        got, _, img = _step(p)
         assert got == cell
+        img.validate()
         assert abs(img.a - x) < 1e-12 and abs(img.b - y) < 1e-12
 
 
@@ -198,7 +201,7 @@ def test_inverse_branch_images_disjoint():
     seen = set()
     for n in range(1, 6):
         for kind in ("swap", "cyc"):
-            p = inverse_branch(MarkovCell(n=n, kind=kind), y)
+            p = ChartPoint(*branch_preimage(n, kind, *y.coords())).validate()
             assert cell_of(p) == MarkovCell(n=n, kind=kind)
             seen.add((round(p.a, 12), round(p.b, 12)))
     assert len(seen) == 10
@@ -207,7 +210,7 @@ def test_inverse_branch_images_disjoint():
 def test_exact_and_float_agree_away_from_boundaries():
     rng = random.Random(23)
     for a, b in random_chart_fracs(rng, 300):
-        exact_p = ChartPoint.from_fractions(a, b)
+        exact_p = ChartPoint(a, b).validate()
         float_p = ChartPoint(float(a), float(b))
         try:
             c1 = cell_of(exact_p)
@@ -217,20 +220,20 @@ def test_exact_and_float_agree_away_from_boundaries():
         assert c1 == c2
         if isinstance(c1, Hole):
             continue
-        i1, _ = apply_T(exact_p)
-        i2, _ = apply_T(float_p)
+        i1 = _step(exact_p)[2].validate()
+        i2 = _step(float_p)[2].validate()
         assert abs(i1.a - i2.a) < 1e-12 and abs(i1.b - i2.b) < 1e-12
 
 
 @pytest.mark.parametrize("n", [10**6, 10**9])
 def test_deep_counter_total_does_not_cancel(n):
     # the preimage of (0.55, 0.3) under the branch (n, cyc)
-    exact_p = inverse_branch(MarkovCell(n, "cyc"), ChartPoint(F(55, 100), F(3, 10)))
+    exact_p = ChartPoint(*branch_preimage(n, "cyc", F(55, 100), F(3, 10), F(3, 20))).validate()
     d = n * exact_p.a - (n - 1)
     assert jacobian(exact_p) == float(1 / d**3)
     # a float point takes the same steps as the vectorized map
     float_p = ChartPoint(float(exact_p.a), float(exact_p.b))
-    img, cell = apply_T(float_p)
+    cell, _, img = _step(float_p)
     a2, b2, n2, _, d2, alive = accelerated_step_batch(np.array([float_p.a]), np.array([float_p.b]))
     assert alive[0] and n2[0] == cell.n
     assert (img.a, img.b) == (a2[0], b2[0])
@@ -285,8 +288,8 @@ def test_batch_step_images_match_apply_T_bit_for_bit():
     compared = 0
     for i in np.flatnonzero(alive):
         try:
-            image, _ = apply_T(ChartPoint(float(a[i]), float(b[i])))
-        except (TieOnBoundary, ValueError):
+            _, _, image = _step(ChartPoint(float(a[i]), float(b[i])))
+        except TieOnBoundary:
             continue
         assert (a2[i], b2[i]) == (image.a, image.b)
         compared += 1
@@ -529,15 +532,13 @@ def test_chart_matches_interval_induction():
     for a, b in random_chart_fracs(rng, 10**4):
         s = make_system(a, b, 1 - a - b)
         acc = accelerated_step(s)
-        p = ChartPoint.from_fractions(a, b)
-        out = apply_T(p)
+        cell, _, img = _step(ChartPoint(a, b).validate())
         if isinstance(acc, Step):
-            img, cell = out
             assert cell.n == acc.n
             assert cell.kind == acc.kind
             assert img.exact()[:2] == acc.system.sorted_lengths()[:2]
         else:
-            assert out == acc
+            assert cell == acc
 
 
 # --- chaos game -------------------------------------------------------------------------
@@ -559,16 +560,17 @@ def test_chaos_game_deterministic_and_worker_independent():
     assert not np.array_equal(a[:1000], d)
 
 
-@pytest.mark.parametrize("count, burn_in", [
-    (1, 64), (4095, 64),  # one point per chain
-    (4096 * _TILE, 64), (4096 * _TILE + 1, 64),  # _TILE output steps, and one step past them
-    (4096 * 2 * _TILE, 64), (4096 * 2 * _TILE + 1, 64),  # 2 _TILE output steps, and one past
-    (4096 * 3 + 17, 64), (4096 * 2 * _TILE + 1, 0),
-])
-def test_chaos_game_same_bytes_for_any_workers(count, burn_in):
-    want = chaos_game(count, burn_in=burn_in, seed=12, workers=1).tobytes()
+# the ids keep the names these cases ran under when they also took a burn-in
+@pytest.mark.parametrize("count", [
+    1, 4095,  # one point per chain
+    4096 * _TILE, 4096 * _TILE + 1,  # _TILE output steps, and one step past them
+    4096 * 2 * _TILE, 4096 * 2 * _TILE + 1,  # 2 _TILE output steps, and one past
+    4096 * 3 + 17,
+], ids=lambda count: f"{count}-{_BURN_IN}")
+def test_chaos_game_same_bytes_for_any_workers(count):
+    want = chaos_game(count, seed=12, workers=1).tobytes()
     for workers in (2, 3):
-        assert chaos_game(count, burn_in=burn_in, seed=12, workers=workers).tobytes() == want
+        assert chaos_game(count, seed=12, workers=workers).tobytes() == want
 
 
 def test_threads_agree_under_a_short_switch_interval():
@@ -604,28 +606,29 @@ def _scalar_game(draws, burn_in):
     return np.array(out)
 
 
-def _reference_chain(chain, chains, per_chain, burn_in, seed):
+def _reference_chain(chain, chains, per_chain, seed):
     """One chain of the chaos game, advanced one scalar at a time on
     column ``chain`` of the call's single step-major draw."""
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 3, size=(burn_in + per_chain, chains), dtype=np.uint8)
-    return _scalar_game(draws[:, chain], burn_in)
+    draws = rng.integers(0, 3, size=(_BURN_IN + per_chain, chains), dtype=np.uint8)
+    return _scalar_game(draws[:, chain], _BURN_IN)
 
 
-@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 4096 * 65 + 3])
 # the ids keep the names these cases ran under when they also took weights
-@pytest.mark.parametrize("burn_in", [64, 0], ids=["64-None", "0-None"])
-def test_chaos_game_matches_scalar_reference(count, burn_in):
+# and a burn-in
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 4096 * 65 + 3],
+                         ids=lambda count: f"{_BURN_IN}-None-{count}")
+def test_chaos_game_matches_scalar_reference(count):
     # chain j owns rows j, j + chains, j + 2 chains, ... of the output;
     # 4096 * 65 + 3 points give 66 steps per chain, past two 32-step
     # chunks of scatter indices, and end on 3 points of the last step
-    pts = chaos_game(count, burn_in=burn_in, seed=11)
+    pts = chaos_game(count, seed=11)
     per_chain = -(-count // 4096)
     chains = -(-count // per_chain)
     for chain in sorted({0, 1, chains - 1}):
         if chain >= chains:
             continue
-        ref = _reference_chain(chain, chains, per_chain, burn_in, 11)
+        ref = _reference_chain(chain, chains, per_chain, 11)
         got = pts[chain::chains]
         assert got.tobytes() == ref[:len(got)].tobytes(), chain
 
@@ -649,11 +652,10 @@ def test_chaos_game_exact_points_survive_ten_steps():
     points = chaos_game_exact(100, seed=6)
     for lam in points:
         a, b, c = sorted(lam, reverse=True)
-        p = ChartPoint.from_fractions(a, b)
+        p = ChartPoint(a, b).validate()
         for _ in range(10):
-            out = apply_T(p)
-            assert isinstance(out, tuple), "gasket-approximant died too early"
-            p = out[0]
+            cell, _, p = _step(p)
+            assert not isinstance(cell, Hole), "gasket-approximant died too early"
 
 
 # --- emitters --------------------------------------------------------------------------
@@ -800,6 +802,19 @@ def test_rasterize_empty_cloud_is_black():
     img = rasterize(np.empty((0, 2)), 96, 64)
     assert img.shape == (64, 96) and img.dtype == np.uint8
     assert not img.any()
+
+
+def test_rasterize_frees_its_block_buffers_before_the_brightness():
+    # the counts and the image take 9 bytes per pixel; the 1.25 MB of block
+    # buffers must be freed before the brightness bands are allocated
+    cloud = chaos_game(2 * 10**6, seed=1)
+    tracemalloc.start()
+    try:
+        rasterize(cloud, 1024, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 9 * 1024 * 1024 < 1.0e6
 
 
 def _pgm(image):

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from test_graph import elementary_path
 from test_markov import _FixedRows
 
 from rauzygasket.graph import (
@@ -12,9 +14,8 @@ from rauzygasket.graph import (
     apply_kind,
     cocycle_of,
     path_from_blocks,
-    path_from_kinds,
 )
-from rauzygasket.induction import CYC, SWAP, Hole, _mat_vec, accelerated_matrix
+from rauzygasket.induction import CYC, KINDS, SWAP, Hole, _mat_vec, accelerated_matrix
 from rauzygasket.markov import (
     ChartPoint,
     MarkovCell,
@@ -22,11 +23,9 @@ from rauzygasket.markov import (
     _counter,
     _step,
     accelerated_step_batch,
-    apply_T,
     branch_preimage,
     cell_of,
     cylinder_vertices,
-    inverse_branch,
     sample_sorted_simplex,
 )
 from rauzygasket.measures import (
@@ -62,7 +61,6 @@ from rauzygasket.measures import (
     path_probability,
     return_roofs,
     roof,
-    roof_scale,
     roof_tail,
     running_mass,
     sample_section,
@@ -188,7 +186,7 @@ def test_path_probability_empty():
 
 
 def test_path_probability_single_step():
-    p = path_from_kinds(START, ["swap"])
+    p = elementary_path(START, ["swap"])
     assert path_probability((1, 1, 1), p) == F(1, 4)
     assert path_probability((1, 2, 3), p) == F(1, 2)
 
@@ -207,7 +205,7 @@ def test_path_probability_column_sum_identity():
     rng = random.Random(31)
     kinds = ("stay", "swap", "cyc")
     for _ in range(100):
-        path = path_from_kinds(START, [rng.choice(kinds) for _ in range(6)])
+        path = elementary_path(START, [rng.choice(kinds) for _ in range(6)])
         m = cocycle_of(path)
         expected = F(1)
         for c in map(sum, zip(*m)):
@@ -222,9 +220,9 @@ def test_path_probability_multiplicative():
         seq = [rng.choice(kinds) for _ in range(8)]
         cut = rng.randrange(9)
         q = tuple(F(rng.randrange(1, 9)) for _ in range(3))
-        p = path_from_kinds(START, seq)
-        p1 = path_from_kinds(START, seq[:cut])
-        p2 = path_from_kinds(p1.end, seq[cut:])
+        p = elementary_path(START, seq)
+        p1 = elementary_path(START, seq[:cut])
+        p2 = elementary_path(p1.end, seq[cut:])
         q_mid = q
         for st in p1.steps:
             q_mid = dual_update(q_mid, st.winner, st.n)
@@ -250,10 +248,9 @@ def _cylinder_triangle(path):
 def test_cylinder_measure_equals_triangle_area_depth2():
     # every depth-2 elementary cylinder is an open triangle in the chart;
     # its shoelace area must reproduce the cone-measure value exactly
-    from rauzygasket.graph import enumerate_paths
-
     total = F(0)
-    for path in enumerate_paths(START, 2):
+    for kinds in itertools.product(KINDS, repeat=2):
+        path = elementary_path(START, kinds)
         area_fraction = area2(_cylinder_triangle(path)) / area2(CHART)
         assert area_fraction == cylinder_measure(path)
         total += area_fraction
@@ -262,10 +259,10 @@ def test_cylinder_measure_equals_triangle_area_depth2():
 
 def test_survivor_mass_equals_total_triangle_area_depth3():
     from rauzygasket.dimension import survivor_mass
-    from rauzygasket.graph import enumerate_paths
 
     total = sum(
-        (area2(_cylinder_triangle(path)) for path in enumerate_paths(START, 3)),
+        (area2(_cylinder_triangle(elementary_path(START, kinds)))
+         for kinds in itertools.product(KINDS, repeat=3)),
         F(0),
     ) / area2(CHART)
     lo, hi = survivor_mass(3)
@@ -524,18 +521,18 @@ def test_balance_rejects_c_below_one():
 # --- roof function ------------------------------------------------------------------------
 
 def test_roof_worked_example():
-    p = ChartPoint.from_fractions(F(7, 10), F(9, 50))
-    assert roof_scale(p, [(2, "cyc")]) == F(2, 5)
+    p = ChartPoint(F(7, 10), F(9, 50)).validate()
+    assert _step(p)[:2] == (MarkovCell(n=2, kind=CYC), F(2, 5))
     assert roof(p, [(2, "cyc")]) == pytest.approx(-math.log(0.4), rel=1e-15)
 
 
 def test_roof_empty_path_is_zero():
-    p = ChartPoint.from_fractions(F(7, 10), F(9, 50))
+    p = ChartPoint(F(7, 10), F(9, 50)).validate()
     assert roof(p, []) == 0.0
 
 
 def test_roof_outside_cylinder():
-    for p in (ChartPoint.from_fractions(F(7, 10), F(9, 50)), ChartPoint(0.7, 0.18)):
+    for p in (ChartPoint(F(7, 10), F(9, 50)).validate(), ChartPoint(0.7, 0.18)):
         with pytest.raises(OutsideCylinder):
             roof(p, [(3, "cyc")])
         with pytest.raises(OutsideCylinder):
@@ -545,7 +542,7 @@ def test_roof_outside_cylinder():
 def test_roof_raises_tie_where_cell_of_does():
     # a = 11/20, b = 7/20: one win leaves rem = 2a - 1 = 1/10 = c, the
     # boundary between the swap and the cyc ending of the counter-1 cell
-    exact = ChartPoint.from_fractions(F(11, 20), F(7, 20))
+    exact = ChartPoint(F(11, 20), F(7, 20)).validate()
     floats = [ChartPoint(0.55, 0.35), ChartPoint(0.55 + 1e-15, 0.35),
               ChartPoint(0.55, 0.35 - 1e-15), ChartPoint(0.55 - 1e-15, 0.35 + 1e-15)]
     for p in [exact] + floats:
@@ -554,9 +551,6 @@ def test_roof_raises_tie_where_cell_of_does():
         for kind in (SWAP, CYC):
             with pytest.raises(TieOnBoundary):
                 roof(p, [(1, kind)])
-    for kind in (SWAP, CYC):
-        with pytest.raises(TieOnBoundary):
-            roof_scale(exact, [(1, kind)])
 
 
 def _solve(m, v):
@@ -573,8 +567,8 @@ def _solve(m, v):
 
 
 def test_roof_scale_matches_matrix_solve():
-    # independent route: l1 norm of the de-renormalized lengths obtained
-    # by exact solve of the block matrix
+    # independent route: the l1 norm of the de-renormalized lengths, by an
+    # exact solve of the block matrix, is the step's exact total D
     rng = random.Random(41)
     for _ in range(200):
         denom = 10**6
@@ -585,28 +579,22 @@ def test_roof_scale_matches_matrix_solve():
         )
         if a == b or b == c or a <= F(1, 2):
             continue
-        p = ChartPoint.from_fractions(a, b)
-        out = apply_T(p)
-        if not isinstance(out, tuple):
+        cell, d, _ = _step(ChartPoint(a, b).validate())
+        if isinstance(cell, Hole):
             continue
-        _, cell = out
         de_renorm = _solve(accelerated_matrix(cell.n, cell.kind), (a, b, c))
         assert all(x > 0 for x in de_renorm)
-        assert sum(de_renorm) == roof_scale(p, [(cell.n, cell.kind)])
+        assert sum(de_renorm) == d
 
 
 def test_roof_additive_along_paths():
-    z = ChartPoint.from_fractions(F(51, 100), F(8, 25))
-    mid = inverse_branch(MarkovCell(n=1, kind="swap"), z)
-    p = inverse_branch(MarkovCell(n=2, kind="cyc"), mid)
+    z = ChartPoint(F(51, 100), F(8, 25)).validate()
+    mid = ChartPoint(*branch_preimage(1, "swap", *z.coords())).validate()
+    p = ChartPoint(*branch_preimage(2, "cyc", *mid.coords())).validate()
     blocks = [(2, "cyc"), (1, "swap")]
-    img, _ = apply_T(p)
+    img = _step(p)[2].validate()
     assert roof(p, blocks) == pytest.approx(
         roof(p, blocks[:1]) + roof(img, blocks[1:]), rel=1e-12
-    )
-    # exact version: the scales multiply
-    assert roof_scale(p, blocks) == roof_scale(p, blocks[:1]) * roof_scale(
-        img, blocks[1:]
     )
 
 
@@ -614,13 +602,13 @@ def test_roof_of_a_long_exact_path_is_the_per_block_sum():
     # the exact product of 1500 block totals is far below the smallest
     # float, so it has no float log; the roof sums the block logs instead
     blocks = [(1, CYC)] * 1500
-    p = ChartPoint.from_fractions(F(51, 100), F(8, 25))
+    p = ChartPoint(F(51, 100), F(8, 25)).validate()
     for n, kind in blocks:
-        p = inverse_branch(MarkovCell(n=n, kind=kind), p)
+        p = ChartPoint(*branch_preimage(n, kind, *p.coords())).validate()
     total, cur = 0.0, p
     for block in blocks:
         total += roof(cur, [block])
-        cur, _ = apply_T(cur)
+        cur = _step(cur)[2]
     value = roof(p, blocks)
     assert math.isfinite(value) and value == total
     assert value == pytest.approx(914.1, abs=0.05)
@@ -650,19 +638,18 @@ def test_section_samples_live_in_cylinder():
     for x, y in zip(a, b):
         p = ChartPoint(float(x), float(y))
         for n_exp, kind_exp in [(1, "cyc")] * 3:
-            out = apply_T(p)
-            assert isinstance(out, tuple)
-            p, cell = out
+            cell, _, p = _step(p)
             assert (cell.n, cell.kind) == (n_exp, kind_exp)
+            p.validate()
 
 
 def test_first_return_from_double_loop_cylinder():
     loop = loop_cccss()  # no self-overlap: the shortest return is the loop
     blocks = [(st.n, st.kind) for st in loop.steps]
-    z = ChartPoint.from_fractions(F(51, 100), F(8, 25))
+    z = ChartPoint(F(51, 100), F(8, 25)).validate()
     p = z
     for n, kind in reversed(blocks * 2):
-        p = inverse_branch(MarkovCell(n=n, kind=kind), p)
+        p = ChartPoint(*branch_preimage(n, kind, *p.coords())).validate()
     record = first_return(p, loop)
     assert isinstance(record, ReturnRecord)
     assert [(st.n, st.kind) for st in record.path.steps] == blocks
@@ -670,7 +657,7 @@ def test_first_return_from_double_loop_cylinder():
     # return point: forward iteration over the recorded path
     cur = ChartPoint(float(p.a), float(p.b))
     for _ in range(len(record.path.steps)):
-        cur, _ = apply_T(cur)
+        cur = _step(cur)[2].validate()
     assert abs(cur.a - record.return_point.a) < 1e-10
     assert abs(cur.b - record.return_point.b) < 1e-10
 
@@ -770,9 +757,9 @@ def test_section_triangle_test_is_the_loop_cylinder(loop):
 def test_first_return_of_ccc_can_be_one_block():
     # ccc overlaps its shifts: a point of the cylinder of four cyc blocks
     # is back in the ccc cylinder after one block
-    p = ChartPoint.from_fractions(F(51, 100), F(8, 25))
+    p = ChartPoint(F(51, 100), F(8, 25)).validate()
     for _ in range(4):
-        p = inverse_branch(MarkovCell(n=1, kind=CYC), p)
+        p = ChartPoint(*branch_preimage(1, CYC, *p.coords())).validate()
     record = first_return(p, loop_ccc())
     assert [(st.n, st.kind) for st in record.path.steps] == [(1, CYC)]
     index, roofs, lost = _first_returns(np.array([float(p.a)]), np.array([float(p.b)]),
@@ -994,12 +981,12 @@ def test_tail_curve_reports_draws_and_fit_window():
     ts, probs, exponent, _, used = fit_tail(roofs, drawn)
     assert curve.drawn == drawn
     assert curve.probabilities == probs and curve.fitted_exponent == exponent
-    assert curve.fit_points == used >= 2
+    assert curve.fit_points == len(used) >= 2
     # the window is bounded by the smallest and largest threshold exceeded
     # by at least 100 returns
     window = [t for t in ts if np.count_nonzero(roofs >= math.log(t)) >= 100]
     assert (curve.fit_t_min, curve.fit_t_max) == (window[0], window[-1])
-    assert len(window) == used
+    assert window == used
     obj = curve.to_json()
     assert (obj["drawn"], obj["fit_t_min"], obj["fit_t_max"]) == (drawn, window[0], window[-1])
     # a grid no threshold of which is reached leaves the window empty
@@ -1042,7 +1029,7 @@ def test_roof_is_first_return_roof_value(loop, cap):
         points.append(ChartPoint(sum(wi * v[0] for wi, v in zip(w, verts)) / sum(w),
                                  sum(wi * v[1] for wi, v in zip(w, verts)) / sum(w)))
         for n, kind in reversed(blocks * 2):
-            z = inverse_branch(MarkovCell(n=n, kind=kind), z)
+            z = ChartPoint(*branch_preimage(n, kind, *z.coords())).validate()
         points.append(z)
     records = {float: 0, F: 0}
     for p in points:
